@@ -16,7 +16,7 @@ import os
 import sys
 from typing import IO
 
-from .families import FamilySpec, make_family, make_map
+from .families import FAMILY_KINDS, FamilySpec, make_family, make_map
 from .functigraph import Functigraph, build_functigraph, functigraph_from_json_dict
 from .graph import (
     Graph,
@@ -74,7 +74,10 @@ def _load_input(
     if not stripped:
         raise ValueError("empty input")
     if stripped.startswith("{"):
-        data = json.loads(text)
+        try:
+            data = json.loads(text)
+        except RecursionError:
+            raise ValueError("JSON input nested too deeply") from None
         if isinstance(data, dict) and "map" in data:
             if map_spec is not None:
                 raise ValueError("--map conflicts with functigraph input")
@@ -232,12 +235,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_lambda = sub.add_parser("lambda", help="exact value via the pruned search")
+    p_lambda = sub.add_parser("lambda", help="exact value via the hitting-set search")
     _add_input_options(p_lambda)
     p_lambda.add_argument("--no-prune", action="store_true",
-                          help="disable the twin-core restriction")
+                          help="start the search without the forced twin core")
     p_lambda.add_argument("--deterministic-witness", action="store_true",
-                          help="rescan for the lexicographically least witness")
+                          help="accepted for compatibility; every witness is "
+                          "already the lexicographically least")
     p_lambda.set_defaults(func=cmd_lambda)
 
     p_oracle = sub.add_parser("oracle", help="exact value via plain enumeration (order <= 24)")
@@ -249,8 +253,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_twins.set_defaults(func=cmd_twins)
 
     p_gen = sub.add_parser("gen", help="emit a family graph as JSON")
-    p_gen.add_argument("--family", required=True,
-                       choices=["complete", "star", "path", "cycle", "pendant_gap", "h_graph"])
+    p_gen.add_argument("--family", required=True, choices=FAMILY_KINDS)
     p_gen.add_argument("--n", type=int, default=None)
     p_gen.add_argument("--i", type=int, default=None, help="removed matching size (h_graph)")
     p_gen.add_argument("--t", type=int, default=None, help="gap parameter (pendant_gap)")
@@ -287,3 +290,7 @@ def main(argv: list[str] | None = None) -> int:
 
 def entry() -> None:
     raise SystemExit(main())
+
+
+if __name__ == "__main__":
+    entry()

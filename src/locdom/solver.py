@@ -5,18 +5,16 @@ slice of L through its open neighborhood (the vertex's "trace") and no two
 outside vertices share a trace. The location-domination number is the
 minimum size of such a set.
 
-``lambda_exact`` walks candidate cardinalities upward, starting from the
-larger of two sound lower bounds:
+Equivalently, L is a hitting set of the constraint rows ``N[v]`` (v is in L
+or has a neighbor in L) and ``{u, v} | (N(u) ^ N(v))`` (u or v is in L, or L
+tells them apart). ``lambda_exact`` searches that model, trying sizes upward
+from the larger of two sound lower bounds:
 
 * counting: the outside vertices need pairwise distinct nonempty subsets of
   L, so ``order - size <= 2**size - 1`` must hold for any hit;
-* twins: any locating-dominating set misses at most one vertex of each twin
-  class, so the all-but-one class totals are forced.
-
-With twin pruning enabled the search additionally fixes the lowest-indexed
-all-but-one members of every twin class and only varies the rest. Swapping
-two twins is a graph automorphism, so any solution can be relabeled onto a
-superset of that forced core; the restriction loses no cardinality.
+* twins: a pair row equal to ``{u, v}`` marks twins u < v. Swapping twins is
+  an automorphism, so the lexicographically least solution of each size
+  contains every such u; that forced twin core may seed the search.
 
 ``lambda_oracle`` is the trust anchor: a plain unpruned enumeration of all
 subsets in ascending cardinality, kept free of every shortcut used by the
@@ -29,7 +27,9 @@ import time
 from dataclasses import dataclass
 from itertools import combinations
 
-from .graph import Graph, TwinPartition, VertexSet, twin_partition
+from .graph import Graph, TwinPartition, VertexSet
+# not called here; perfbench's traced mode wraps this binding by name
+from .graph import twin_partition  # noqa: F401
 
 ORACLE_MAX_ORDER = 24
 
@@ -107,66 +107,61 @@ def twin_lower_bound(partition: TwinPartition) -> int:
     return sum(len(cls.vertices) - 1 for cls in partition.classes if len(cls.vertices) >= 2)
 
 
-def _forced_core(partition: TwinPartition) -> int:
-    forced = 0
-    for cls in partition.classes:
-        members = cls.vertices.members
-        if len(members) >= 2:
-            for v in members[:-1]:
-                forced |= 1 << v
-    return forced
-
-
 def lambda_exact(
     g: Graph,
     use_twin_pruning: bool = True,
     deterministic_witness: bool = False,
 ) -> SolveResult:
-    """Exact location-domination number with one witness set.
+    """Exact location-domination number with the lexicographically least witness.
 
-    The search enumerates cardinalities in ascending order starting at the
-    combined lower bound, so the reported value is exact regardless of the
-    pruning flag. The enumeration at each cardinality is lexicographic; with
-    ``deterministic_witness`` a final unrestricted rescan at the winning
-    cardinality guarantees the lexicographically least witness even though
-    the main pass may have been restricted to supersets of the forced core.
+    At each size from the lower bound upward, a depth-first search adds
+    vertices in index order until every constraint row is hit, so its first
+    hit is the lex-least set of that size. ``use_twin_pruning`` starts it from
+    the forced twin core. ``stats.sets_tested`` counts search nodes.
+    ``deterministic_witness`` is kept for compatibility and changes nothing:
+    every witness is already lex-least.
     """
     started = time.perf_counter()
     n = g.n
-    partition = twin_partition(g)
-    start = max(info_lower_bound(n), twin_lower_bound(partition))
-    forced = _forced_core(partition) if use_twin_pruning else 0
-    forced_count = forced.bit_count()
-    free = [1 << v for v in range(n) if not forced >> v & 1]
     adj = g.adj
-    full = (1 << n) - 1
-    tested = 0
-    best: int | None = None
-    size = start
+    rows = {adj[v] | 1 << v for v in range(n)}
+    core = 0
+    for u in range(n):
+        for v in range(u + 1, n):
+            pair = 1 << u | 1 << v
+            row = pair | adj[u] ^ adj[v]
+            if row == pair:
+                core |= 1 << u
+            rows.add(row)
+    start = max(info_lower_bound(n), core.bit_count())
+    chosen = core if use_twin_pruning else 0
+    # ascending highest vertex, so unhit[0] bounds the next pick from above
+    unhit = sorted((r for r in rows if not r & chosen), key=int.bit_length)
+    nodes = 0
+
+    def search(chosen: int, unhit: list[int], cursor: int, left: int) -> int | None:
+        nonlocal nodes
+        nodes += 1
+        if not unhit:
+            return chosen
+        if not left:
+            return None
+        for v in range(cursor, min(unhit[0].bit_length(), n - left + 1)):
+            bit = 1 << v
+            if chosen & bit:
+                continue
+            hit = search(chosen | bit, [r for r in unhit if not r & bit], v + 1, left - 1)
+            if hit is not None:
+                return hit
+        return None
+
     for size in range(start, n + 1):
-        for combo in combinations(free, size - forced_count):
-            candidate = forced
-            for bit in combo:
-                candidate |= bit
-            tested += 1
-            if _is_ld_mask(adj, candidate, full):
-                best = candidate
-                break
+        best = search(chosen, unhit, 0, size - chosen.bit_count())
         if best is not None:
             break
     assert best is not None  # the full vertex set always qualifies
-    if deterministic_witness:
-        single = [1 << v for v in range(n)]
-        for combo in combinations(single, size):
-            candidate = 0
-            for bit in combo:
-                candidate |= bit
-            tested += 1
-            if _is_ld_mask(adj, candidate, full):
-                best = candidate
-                break
     elapsed = time.perf_counter() - started
-    return SolveResult(size, VertexSet(n, best), SearchStats(tested, start, elapsed))
+    return SolveResult(size, VertexSet(n, best), SearchStats(nodes, start, elapsed))
 
 
 def lambda_oracle(g: Graph) -> SolveResult:

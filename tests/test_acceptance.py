@@ -158,29 +158,31 @@ def test_criterion_5_corollary_checks(complete_sweep):
 
 def test_criterion_6_oracle_equivalence():
     failures = []
+
+    def check(label, g):
+        reference = lambda_oracle(g)
+        for pruning in (True, False):
+            res = lambda_exact(g, use_twin_pruning=pruning)
+            if (res.lambda_, res.witness) != (reference.lambda_, reference.witness):
+                failures.append((label, pruning, g.n, g.edges()))
+
     for n in range(1, 6):
         for g in all_graphs(n):
-            if not is_connected(g):
-                continue
-            reference = lambda_oracle(g).lambda_
-            if lambda_exact(g).lambda_ != reference:
-                failures.append(("exhaustive pruned", n, g.edges()))
-            if lambda_exact(g, use_twin_pruning=False).lambda_ != reference:
-                failures.append(("exhaustive unpruned", n, g.edges()))
+            if is_connected(g):
+                check("exhaustive", g)
     representatives = nonisomorphic_connected_graphs(6)
     if len(representatives) != 112:
         failures.append(("representative count", len(representatives)))
     for g in representatives:
-        if lambda_exact(g).lambda_ != lambda_oracle(g).lambda_:
-            failures.append(("representatives n=6", g.edges()))
+        check("representatives n=6", g)
     rng = random.Random(20260810)
     for _ in range(500):
         g = random_connected_graph(rng, rng.randint(7, 10), rng.uniform(0.25, 0.75))
-        if lambda_exact(g).lambda_ != lambda_oracle(g).lambda_:
-            failures.append(("random", g.n, g.edges()))
+        check("random", g)
     verdict(
-        "ACCEPTANCE 6 (pruned search equals oracle: all labeled n<=5, "
-        "class representatives at n=6, 500 random n in [7,10])",
+        "ACCEPTANCE 6 (search equals oracle in value and witness, with and without "
+        "twin pruning: all labeled n<=5, class representatives at n=6, 500 random "
+        "n in [7,10])",
         failures,
     )
 

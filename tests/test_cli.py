@@ -1,9 +1,14 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import locdom
 from locdom.cli import main
 from locdom.families import complete_graph, path_graph, star_graph
 from locdom.graph import graph_from_json_dict, graph_to_json_dict
@@ -135,6 +140,13 @@ class TestLambda:
         assert code == 2
         assert "error:" in err
 
+    def test_deeply_nested_json(self, capsys, tmp_path):
+        depth = 100_000
+        path = write(tmp_path, "deep.json", '{"n":' * depth + "1" + "}" * depth)
+        code, _, err = run(capsys, ["lambda", "--graph", path])
+        assert code == 2
+        assert "nested too deeply" in err
+
     def test_bad_edge_order(self, capsys, tmp_path):
         path = write(tmp_path, "bad.json", json.dumps({"n": 3, "edges": [[1, 0]]}))
         code, _, _ = run(capsys, ["lambda", "--graph", path])
@@ -235,6 +247,17 @@ class TestVerify:
         monkeypatch.setenv("LD_THREADS", "nope")
         code, _, err = run(capsys, ["verify", "--nmax-complete", "3"])
         assert code == 2
+
+    def test_module_entry_point(self):
+        env = dict(os.environ, PYTHONPATH=str(Path(locdom.__file__).parents[1]))
+        env.pop("LD_THREADS", None)
+        proc = subprocess.run(
+            [sys.executable, "-m", "locdom.cli", "verify", "--nmax-complete", "3",
+             "--nmax-hi", "4", "--nmax-bounds", "3", "--no-gap"],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert "all match" in proc.stdout
 
     def test_report_files(self, capsys, tmp_path):
         csv_path = tmp_path / "report.csv"

@@ -47,6 +47,20 @@ def naive_lambda(g):
     raise AssertionError("unreachable")
 
 
+def with_isolated_and_pendants(rng, g):
+    """Append isolated vertices and pendants on random hosts, then relabel.
+
+    A pendant's closed neighborhood has two elements without the pendant and
+    its host being twins, which a twin test keyed on row size gets wrong.
+    """
+    isolated = rng.randint(0, 2)
+    n = min(12, g.n + isolated + rng.randint(1, 3))
+    edges = g.edges() + [(rng.randrange(p), p) for p in range(g.n + isolated, n)]
+    perm = list(range(n))
+    rng.shuffle(perm)
+    return permute_graph(Graph.from_edges(n, edges), perm)
+
+
 def all_connected(n):
     pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
     from locdom.graph import is_connected
@@ -197,17 +211,22 @@ class TestLambdaExact:
 
     def test_matches_naive_search(self):
         rng = random.Random(31)
+        graphs = [random_graph(rng, rng.randint(1, 7), rng.uniform(0.1, 0.9)) for _ in range(40)]
         for _ in range(40):
-            g = random_graph(rng, rng.randint(1, 7), rng.uniform(0.1, 0.9))
-            expected, _ = naive_lambda(g)
-            assert lambda_exact(g).lambda_ == expected
-            assert lambda_exact(g, use_twin_pruning=False).lambda_ == expected
+            core = random_graph(rng, rng.randint(1, 9), rng.uniform(0.2, 0.8))
+            graphs.append(with_isolated_and_pendants(rng, core))
+        for g in graphs:
+            expected = naive_lambda(g)
+            for pruning in (True, False):
+                res = lambda_exact(g, use_twin_pruning=pruning)
+                assert (res.lambda_, res.witness.members) == expected
 
     def test_oracle_equivalence_exhaustive_n4(self):
         for g in all_connected(4):
-            reference = lambda_oracle(g).lambda_
-            assert lambda_exact(g).lambda_ == reference
-            assert lambda_exact(g, use_twin_pruning=False).lambda_ == reference
+            reference = lambda_oracle(g)
+            for pruning in (True, False):
+                res = lambda_exact(g, use_twin_pruning=pruning)
+                assert (res.lambda_, res.witness) == (reference.lambda_, reference.witness)
 
     def test_deterministic_witness_is_lex_least(self):
         rng = random.Random(37)
