@@ -14,7 +14,7 @@ from itertools import combinations, permutations, product
 from typing import Iterator, Sequence
 
 from .functigraph import FunctionMap, Signature
-from .graph import Graph, bits, is_connected
+from .graph import Graph, bits, check_order, is_connected
 
 FAMILY_KINDS = ("complete", "star", "path", "cycle", "pendant_gap", "h_graph")
 
@@ -30,6 +30,7 @@ class FamilySpec:
 def complete_graph(n: int) -> Graph:
     if n < 1:
         raise ValueError("complete graph needs n >= 1")
+    check_order(n)
     full = (1 << n) - 1
     return Graph(n, tuple(full ^ (1 << v) for v in range(n)))
 
@@ -38,12 +39,14 @@ def star_graph(n: int) -> Graph:
     """Star on n vertices with the center at index 0."""
     if n < 2:
         raise ValueError("star graph needs n >= 2")
+    check_order(n)
     return Graph.from_edges(n, [(0, v) for v in range(1, n)])
 
 
 def path_graph(n: int) -> Graph:
     if n < 1:
         raise ValueError("path graph needs n >= 1")
+    check_order(n)
     return Graph.from_edges(n, [(v, v + 1) for v in range(n - 1)])
 
 
@@ -51,6 +54,7 @@ def cycle_graph(n: int) -> Graph:
     # C_1 and C_2 are not simple graphs, so the floor is 3
     if n < 3:
         raise ValueError("cycle graph needs n >= 3")
+    check_order(n)
     return Graph.from_edges(n, [(v, (v + 1) % n) for v in range(n)])
 
 
@@ -63,6 +67,7 @@ def h_graph(n: int, i: int) -> Graph:
     """
     if n < 2:
         raise ValueError("h_graph needs n >= 2")
+    check_order(n)
     if not 1 <= i <= n // 2:
         raise ValueError(f"h_graph needs 1 <= i <= floor(n/2), got i={i}")
     if n == 2:
@@ -84,6 +89,7 @@ def pendant_gap_graph(t: int) -> Graph:
     """
     if t < 2:
         raise ValueError("pendant gap graph needs t >= 2")
+    check_order(t + 2)
     edges = [(0, 1), (1, 2)] + [(0, 3 + j) for j in range(t - 1)]
     return Graph.from_edges(t + 2, edges)
 
@@ -194,11 +200,16 @@ def all_maps(n: int) -> Iterator[FunctionMap]:
         yield FunctionMap(n, targets)
 
 
-def all_graphs(n: int) -> Iterator[Graph]:
-    """Every labeled simple graph on n vertices (2^C(n,2) of them); n <= 6."""
+def _labeled_pairs(n: int) -> list[tuple[int, int]]:
+    """Vertex pairs of an n-vertex graph, n <= 6; bit j of an edge mask is pair j."""
     if not 1 <= n <= 6:
         raise ValueError("labeled enumeration is limited to 1 <= n <= 6")
-    pairs = list(combinations(range(n), 2))
+    return list(combinations(range(n), 2))
+
+
+def all_graphs(n: int) -> Iterator[Graph]:
+    """Every labeled simple graph on n vertices (2^C(n,2) of them); n <= 6."""
+    pairs = _labeled_pairs(n)
     for mask in range(1 << len(pairs)):
         yield Graph.from_edges(n, [pairs[j] for j in bits(mask)])
 
@@ -213,6 +224,9 @@ def canonical_form(g: Graph) -> tuple:
     """Isomorphism-invariant key: minimal adjacency code over degree-preserving
     relabelings. Intended for small graphs; regular graphs fall back to all
     permutations of their order.
+
+    It serves callers and tests as an isomorphism key; class generation in
+    :func:`nonisomorphic_connected_graphs` does not use it.
     """
     n = g.n
     degree_of = [g.adj[v].bit_count() for v in range(n)]
@@ -234,13 +248,32 @@ def canonical_form(g: Graph) -> tuple:
 
 
 def nonisomorphic_connected_graphs(n: int) -> list[Graph]:
-    """One representative per isomorphism class of connected graphs on n vertices."""
-    seen: dict[tuple, Graph] = {}
-    for g in connected_graphs(n):
-        key = canonical_form(g)
-        if key not in seen:
-            seen[key] = g
-    return list(seen.values())
+    """One representative per isomorphism class of connected graphs on n vertices.
+
+    The representative is the class's first graph in :func:`all_graphs` order.
+    Edge masks are walked in that order; an unmarked mask opens a new class,
+    and its whole orbit under the n! relabelings is then marked, so no other
+    member of the class is ever built.
+    """
+    pairs = _labeled_pairs(n)
+    index = {pair: j for j, pair in enumerate(pairs)}
+    # image_bits[k][j]: the mask bit that edge j moves to under relabeling k
+    image_bits = [
+        [1 << index[min(p[a], p[b]), max(p[a], p[b])] for a, b in pairs]
+        for p in permutations(range(n))
+    ]
+    marked = bytearray(1 << len(pairs))
+    out: list[Graph] = []
+    for mask in range(len(marked)):
+        if marked[mask]:
+            continue
+        edges = list(bits(mask))
+        g = Graph.from_edges(n, [pairs[j] for j in edges])
+        if is_connected(g):
+            out.append(g)
+        for image in image_bits:
+            marked[sum(image[j] for j in edges)] = 1
+    return out
 
 
 def random_graph(rng: random.Random, n: int, p: float) -> Graph:

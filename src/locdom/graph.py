@@ -19,6 +19,12 @@ NON_ADJACENT_TWINS = "non-adjacent-twins"
 SINGLETON = "singleton"
 
 
+def check_order(n: int) -> None:
+    """Raise ``ValueError`` unless ``1 <= n <= MAX_ORDER``."""
+    if not 1 <= n <= MAX_ORDER:
+        raise ValueError(f"order must be in [1, {MAX_ORDER}], got {n}")
+
+
 def bits(mask: int) -> Iterator[int]:
     """Yield the positions of the set bits of ``mask``, lowest first."""
     while mask:
@@ -105,8 +111,7 @@ class Graph:
     adj: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if not 1 <= self.n <= MAX_ORDER:
-            raise ValueError(f"order must be in [1, {MAX_ORDER}], got {self.n}")
+        check_order(self.n)
         if len(self.adj) != self.n:
             raise ValueError("adjacency length does not match the order")
         full = (1 << self.n) - 1
@@ -124,8 +129,7 @@ class Graph:
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> "Graph":
         """Build a graph from an edge list; rejects self-loops and duplicates."""
-        if not 1 <= n <= MAX_ORDER:
-            raise ValueError(f"order must be in [1, {MAX_ORDER}], got {n}")
+        check_order(n)
         adj = [0] * n
         seen: set[tuple[int, int]] = set()
         for u, v in edges:

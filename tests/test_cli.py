@@ -53,6 +53,10 @@ class TestGen:
         assert "error:" in err
         code, _, _ = run(capsys, ["gen", "--family", "pendant_gap", "--t", "1"])
         assert code == 2
+        # refused before any edge list is built, so no time or memory is spent
+        code, _, err = run(capsys, ["gen", "--family", "path", "--n", "1000000000"])
+        assert code == 2
+        assert "order must be in" in err
 
 
 class TestLambda:
@@ -248,11 +252,12 @@ class TestVerify:
         code, _, err = run(capsys, ["verify", "--nmax-complete", "3"])
         assert code == 2
 
-    def test_module_entry_point(self):
+    @pytest.mark.parametrize("module", ["locdom", "locdom.cli"])
+    def test_module_entry_point(self, module):
         env = dict(os.environ, PYTHONPATH=str(Path(locdom.__file__).parents[1]))
         env.pop("LD_THREADS", None)
         proc = subprocess.run(
-            [sys.executable, "-m", "locdom.cli", "verify", "--nmax-complete", "3",
+            [sys.executable, "-m", module, "verify", "--nmax-complete", "3",
              "--nmax-hi", "4", "--nmax-bounds", "3", "--no-gap"],
             capture_output=True, text=True, env=env, timeout=120,
         )

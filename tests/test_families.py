@@ -28,6 +28,7 @@ from locdom.families import (
 from locdom.functigraph import preimage_signature
 from locdom.graph import (
     ADJACENT_TWINS,
+    MAX_ORDER,
     NON_ADJACENT_TWINS,
     SINGLETON,
     is_connected,
@@ -60,6 +61,13 @@ class TestFamilies:
             cycle_graph(2)
         with pytest.raises(ValueError):
             pendant_gap_graph(1)
+
+    def test_order_ceiling(self):
+        for make in (complete_graph, star_graph, path_graph, cycle_graph,
+                     lambda n: h_graph(n, 1), lambda n: pendant_gap_graph(n - 2)):
+            assert make(MAX_ORDER).n == MAX_ORDER
+            with pytest.raises(ValueError, match="order must be in"):
+                make(MAX_ORDER + 1)
 
     def test_h_graph_twin_inventory(self):
         part = twin_partition(h_graph(7, 2))
@@ -191,9 +199,25 @@ class TestEnumeration:
 
     def test_nonisomorphic_counts(self):
         # unlabeled connected graphs on n vertices
-        expected = {1: 1, 2: 1, 3: 2, 4: 6, 5: 21}
+        expected = {1: 1, 2: 1, 3: 2, 4: 6, 5: 21, 6: 112}
         for n, count in expected.items():
             assert len(nonisomorphic_connected_graphs(n)) == count
+
+    def test_nonisomorphic_against_canonical_keys(self):
+        def first_per_key(n):
+            seen = {}
+            for g in connected_graphs(n):
+                seen.setdefault(canonical_form(g), g)
+            return list(seen.values())
+
+        for n in range(1, 6):
+            assert nonisomorphic_connected_graphs(n) == first_per_key(n)
+        representatives = nonisomorphic_connected_graphs(6)
+        assert len({canonical_form(g) for g in representatives}) == len(representatives) == 112
+        assert all(is_connected(g) for g in representatives)
+        for n in (0, 7):
+            with pytest.raises(ValueError):
+                nonisomorphic_connected_graphs(n)
 
     def test_enumeration_guard(self):
         with pytest.raises(ValueError):
