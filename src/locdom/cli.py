@@ -5,7 +5,7 @@ Exit codes: 0 on success (and all rows matching for ``verify``), 1 when a
 verification sweep has mismatches, 2 on any input error. With ``--json`` or
 ``--csv``, stdout carries only the structured artifact; prose goes to stderr.
 The ``LD_THREADS`` environment variable caps the verify worker count
-(unset: sequential, 0: one worker per CPU).
+(unset: sequential, 0: one worker per CPU; never more than the CPU count).
 """
 
 from __future__ import annotations
@@ -172,9 +172,10 @@ def _worker_count() -> int:
     count = int(raw)
     if count < 0:
         raise ValueError("LD_THREADS must be >= 0")
+    cpus = os.cpu_count() or 1
     if count == 0:
-        return os.cpu_count() or 1
-    return count
+        return cpus
+    return min(count, cpus)
 
 
 def _print_summary(report: Report, stream: IO[str]) -> None:

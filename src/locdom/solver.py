@@ -7,14 +7,22 @@ minimum size of such a set.
 
 Equivalently, L is a hitting set of the constraint rows ``N[v]`` (v is in L
 or has a neighbor in L) and ``{u, v} | (N(u) ^ N(v))`` (u or v is in L, or L
-tells them apart). ``lambda_exact`` searches that model, trying sizes upward
-from the larger of two sound lower bounds:
+tells them apart). A pair row whose ends have no common neighbor contains
+``N[u]``, so it is implied and left out. ``lambda_exact`` solves that model
+by branch and bound: each search node branches on its smallest unhit row and
+fails once a greedy packing of pairwise disjoint unhit rows needs more picks
+than are left; with one pick left, that pick must lie in every unhit row.
+It tries sizes upward from the larger of two sound lower bounds:
 
 * counting: the outside vertices need pairwise distinct nonempty subsets of
   L, so ``order - size <= 2**size - 1`` must hold for any hit;
 * twins: a pair row equal to ``{u, v}`` marks twins u < v. Swapping twins is
   an automorphism, so the lexicographically least solution of each size
   contains every such u; that forced twin core may seed the search.
+
+The first size with a hit is the value. The same search then turns that hit
+into the lexicographically least one, one vertex at a time (see
+``lambda_exact``).
 
 ``lambda_oracle`` is the trust anchor: a plain unpruned enumeration of all
 subsets in ascending cardinality, kept free of every shortcut used by the
@@ -24,6 +32,7 @@ real search.
 from __future__ import annotations
 
 import time
+from bisect import insort
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -114,16 +123,32 @@ def lambda_exact(
 ) -> SolveResult:
     """Exact location-domination number with the lexicographically least witness.
 
-    At each size from the lower bound upward, a depth-first search adds
-    vertices in index order until every constraint row is hit, so its first
-    hit is the lex-least set of that size. ``use_twin_pruning`` starts it from
-    the forced twin core. ``stats.sets_tested`` counts search nodes.
-    ``deterministic_witness`` is kept for compatibility and changes nothing:
-    every witness is already lex-least.
+    The search core ``hit(unhit, allowed, left)`` returns some set of at most
+    ``left`` vertices from ``allowed`` that hits every row in ``unhit``, or
+    None. Rows are sorted by size. In one pass over them a node fails when a
+    row has no allowed vertex or when a greedy packing of the rows' allowed
+    parts needs more than ``left`` disjoint parts; otherwise it branches on
+    the first row, lowest vertex first, and drops each vertex from
+    ``allowed`` once its branch fails. A node with one pick left returns the
+    lowest allowed vertex that lies in every row, which is the first leaf
+    that branching would find. The value is the first size, upward from the
+    lower bound, at which ``hit`` succeeds.
+
+    Equal-size sets are ordered by the smallest element of their symmetric
+    difference, so the witness is walked down with the same core: with
+    ``low`` the lowest free vertex of the current witness and ``cursor`` one
+    past the last fixed pick, ``hit`` gets one extra row ``[cursor, low)``
+    and only vertices from ``cursor`` up. A hit is a smaller witness and
+    replaces it; a miss fixes ``low`` as the next pick.
+
+    ``use_twin_pruning`` fixes the forced twin core before either phase.
+    ``stats.sets_tested`` counts ``hit`` nodes over both phases.
+    ``deterministic_witness`` is kept for compatibility and changes nothing.
     """
     started = time.perf_counter()
     n = g.n
     adj = g.adj
+    full = (1 << n) - 1
     rows = {adj[v] | 1 << v for v in range(n)}
     core = 0
     for u in range(n):
@@ -132,36 +157,70 @@ def lambda_exact(
             row = pair | adj[u] ^ adj[v]
             if row == pair:
                 core |= 1 << u
-            rows.add(row)
+            # without a common neighbor the row contains N[u], so it is implied
+            if adj[u] & adj[v]:
+                rows.add(row)
     start = max(info_lower_bound(n), core.bit_count())
-    chosen = core if use_twin_pruning else 0
-    # ascending highest vertex, so unhit[0] bounds the next pick from above
-    unhit = sorted((r for r in rows if not r & chosen), key=int.bit_length)
+    fixed = core if use_twin_pruning else 0
+    unhit = sorted([r for r in rows if not r & fixed], key=int.bit_count)
     nodes = 0
 
-    def search(chosen: int, unhit: list[int], cursor: int, left: int) -> int | None:
+    def hit(unhit: list[int], allowed: int, left: int) -> int | None:
         nonlocal nodes
         nodes += 1
         if not unhit:
-            return chosen
-        if not left:
-            return None
-        for v in range(cursor, min(unhit[0].bit_length(), n - left + 1)):
-            bit = 1 << v
-            if chosen & bit:
-                continue
-            hit = search(chosen | bit, [r for r in unhit if not r & bit], v + 1, left - 1)
-            if hit is not None:
-                return hit
+            return 0
+        if left == 1:
+            # the one pick left has to lie in every row
+            common = allowed
+            for r in unhit:
+                common &= r
+            return common & -common or None
+        used = packed = 0
+        for r in unhit:
+            part = r & allowed
+            if not part:
+                return None
+            if not part & used:
+                if packed == left:
+                    return None
+                used |= part
+                packed += 1
+        # the first row is always packed, and it is the smallest
+        branch = unhit[0] & allowed
+        while branch:
+            bit = branch & -branch
+            branch ^= bit
+            found = hit([r for r in unhit if not r & bit], allowed, left - 1)
+            if found is not None:
+                return found | bit
+            allowed &= ~bit
         return None
 
-    for size in range(start, n + 1):
-        best = search(chosen, unhit, 0, size - chosen.bit_count())
-        if best is not None:
-            break
-    assert best is not None  # the full vertex set always qualifies
+    size = start
+    while (found := hit(unhit, full & ~fixed, size - fixed.bit_count())) is None:
+        size += 1
+    witness = fixed | found
+    cursor = 0
+    while free := witness & ~fixed:
+        low = free & -free
+        allowed = full & ~fixed & -(1 << cursor)
+        found = None
+        if below := (low - 1) & allowed:
+            narrowed = [r for r in unhit if not r & fixed]
+            insort(narrowed, below, key=int.bit_count)
+            found = hit(narrowed, allowed, size - fixed.bit_count())
+        if found is None:
+            fixed |= low
+            cursor = low.bit_length()
+        else:
+            witness = fixed | found
+    # hit reaches itself through its closure cell; breaking that cycle frees
+    # it now rather than at a later cyclic collection, so thousands of small
+    # solves do not leave closures behind to fragment the heap
+    del hit
     elapsed = time.perf_counter() - started
-    return SolveResult(size, VertexSet(n, best), SearchStats(nodes, start, elapsed))
+    return SolveResult(size, VertexSet(n, witness), SearchStats(nodes, start, elapsed))
 
 
 def lambda_oracle(g: Graph) -> SolveResult:

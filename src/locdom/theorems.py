@@ -280,7 +280,9 @@ def _solve_case(case: TheoremCase) -> tuple[int, tuple[int, ...], float]:
 def _solve_all(
     cases: list[TheoremCase], workers: int
 ) -> list[tuple[int, tuple[int, ...], float]]:
-    if workers > 1 and len(cases) > 1:
+    # a fork-started pool launches every worker at the first submit
+    workers = min(workers, len(cases))
+    if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             chunk = max(1, len(cases) // (workers * 8))
             return list(pool.map(_solve_case, cases, chunksize=chunk))

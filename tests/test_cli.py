@@ -252,6 +252,19 @@ class TestVerify:
         code, _, err = run(capsys, ["verify", "--nmax-complete", "3"])
         assert code == 2
 
+    def test_ld_threads_capped_at_cpu_count(self, monkeypatch):
+        # only the count is computed here; no worker is started
+        from locdom.cli import _worker_count
+
+        monkeypatch.setenv("LD_THREADS", "100000")
+        assert _worker_count() == (os.cpu_count() or 1)
+        monkeypatch.setattr("locdom.cli.os.cpu_count", lambda: 4)
+        assert _worker_count() == 4
+        monkeypatch.setenv("LD_THREADS", "3")
+        assert _worker_count() == 3
+        monkeypatch.setattr("locdom.cli.os.cpu_count", lambda: None)
+        assert _worker_count() == 1
+
     @pytest.mark.parametrize("module", ["locdom", "locdom.cli"])
     def test_module_entry_point(self, module):
         env = dict(os.environ, PYTHONPATH=str(Path(locdom.__file__).parents[1]))

@@ -2,6 +2,8 @@ import random
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from locdom.families import (
     complete_graph,
@@ -13,7 +15,7 @@ from locdom.families import (
     random_graph,
     star_graph,
 )
-from locdom.functigraph import build_functigraph
+from locdom.functigraph import Signature, build_functigraph
 from locdom.graph import Graph, VertexSet, bits, permute_graph, twin_partition
 from locdom.solver import (
     info_lower_bound,
@@ -23,6 +25,7 @@ from locdom.solver import (
     trace,
     twin_lower_bound,
 )
+from locdom.theorems import predicted_lambda_complete
 
 
 def naive_is_ld(g, members):
@@ -59,6 +62,37 @@ def with_isolated_and_pendants(rng, g):
     perm = list(range(n))
     rng.shuffle(perm)
     return permute_graph(Graph.from_edges(n, edges), perm)
+
+
+def with_small_components(rng, g):
+    """Append K2 components and an isolated pair, then relabel.
+
+    Twins there have no common neighbor, so their pair rows are implied and
+    left out of the search; the twin core must still count them.
+    """
+    k2 = rng.randint(0, 2)
+    n = g.n + 2 * k2 + 2
+    edges = g.edges() + [(g.n + 2 * i, g.n + 2 * i + 1) for i in range(k2)]
+    perm = list(range(n))
+    rng.shuffle(perm)
+    return permute_graph(Graph.from_edges(n, edges), perm)
+
+
+@st.composite
+def small_graphs(draw):
+    """Graphs with n <= 10 of any density, with isolated vertices and K2
+    components mixed in by a drawn relabeling."""
+    k2 = draw(st.integers(0, 2))
+    isolated = draw(st.integers(0, 2))
+    main = draw(st.integers(0 if k2 or isolated else 1, 10 - 2 * k2 - isolated))
+    pairs = list(combinations(range(main), 2))
+    edges = draw(st.sets(st.sampled_from(pairs))) if pairs else set()
+    if draw(st.booleans()):
+        edges = set(pairs) - edges
+    n = main + 2 * k2 + isolated
+    edges |= {(main + 2 * i, main + 2 * i + 1) for i in range(k2)}
+    g = Graph.from_edges(n, sorted(edges))
+    return permute_graph(g, draw(st.permutations(range(n))))
 
 
 def all_connected(n):
@@ -248,14 +282,46 @@ class TestLambdaExact:
 
     def test_lower_bound_consistency(self):
         rng = random.Random(43)
+        graphs = [random_connected_graph(rng, rng.randint(1, 9)) for _ in range(40)]
+        graphs += [Graph.from_edges(2, []), Graph.from_edges(2, [(0, 1)])]
         for _ in range(40):
-            g = random_connected_graph(rng, rng.randint(1, 9))
+            core = random_connected_graph(rng, rng.randint(1, 7))
+            graphs.append(with_small_components(rng, core))
+        for g in graphs:
             res = lambda_exact(g)
             floor = max(
                 info_lower_bound(g.n), twin_lower_bound(twin_partition(g))
             )
             assert res.lambda_ >= floor
             assert res.stats.pruned_cardinalities_skipped == floor
+
+    def test_lex_extraction_matches_oracle(self):
+        graphs = [build_functigraph(complete_graph(n), identity_map(n)).graph for n in range(3, 8)]
+        graphs += [cycle_graph(n) for n in range(5, 15)]
+        for g in graphs:
+            reference = lambda_oracle(g)
+            for pruning in (True, False):
+                res = lambda_exact(g, use_twin_pruning=pruning)
+                assert (res.lambda_, res.witness) == (reference.lambda_, reference.witness)
+
+    def test_larger_values(self):
+        assert lambda_exact(cycle_graph(30)).lambda_ == 12
+        fg = build_functigraph(complete_graph(14), identity_map(14))
+        assert lambda_exact(fg.graph).lambda_ == predicted_lambda_complete(
+            14, Signature((1,) * 14)
+        )
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_differential_against_oracle(self, data):
+        g = data.draw(small_graphs())
+        reference = lambda_oracle(g)
+        for pruning in (True, False):
+            res = lambda_exact(g, use_twin_pruning=pruning)
+            assert (res.lambda_, res.witness) == (reference.lambda_, reference.witness)
+        assert naive_is_ld(g, res.witness.members)
+        perm = data.draw(st.permutations(range(g.n)))
+        assert lambda_exact(permute_graph(g, perm)).lambda_ == reference.lambda_
 
     def test_isomorphism_invariance(self):
         rng = random.Random(47)

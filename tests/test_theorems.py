@@ -4,7 +4,8 @@ import json
 
 import pytest
 
-from locdom.families import constant_map, h_graph, signatures
+from locdom import theorems
+from locdom.families import complete_graph, constant_map, h_graph, path_graph, signatures
 from locdom.functigraph import Signature, build_functigraph
 from locdom.solver import lambda_exact
 from locdom.theorems import (
@@ -204,3 +205,32 @@ class TestVerifySuite:
         assert not report.all_match
         assert report.mismatches() == [bad]
         assert report.section_counts()["demo"] == (1, 2)
+
+    def test_solve_all_caps_workers_at_case_count(self, monkeypatch):
+        # the pool is a serial fake, so no process is started
+        made = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                made.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items, chunksize=1):
+                return map(fn, items)
+
+        monkeypatch.setattr(theorems, "ProcessPoolExecutor", SerialPool)
+        cases = [
+            theorems.TheoremCase("demo", n, "", 1, n, g)
+            for n, g in ((3, complete_graph(3)), (4, path_graph(4)), (5, complete_graph(5)))
+        ]
+        solved = theorems._solve_all(cases, 100_000)
+        assert made == [3]
+        assert [s[:2] for s in solved] == [s[:2] for s in theorems._solve_all(cases, 1)]
+        assert made == [3]
+        theorems._solve_all(cases[:1], 100_000)
+        assert made == [3]
