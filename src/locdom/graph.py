@@ -121,9 +121,13 @@ class Graph:
             if row >> u & 1:
                 raise ValueError(f"self-loop at vertex {u}")
         # full symmetry scan; constructors must never produce a directed pair
-        for u in range(self.n):
-            for v in bits(self.adj[u]):
-                if not self.adj[v] >> u & 1:
+        adj = self.adj
+        for u, row in enumerate(adj):
+            while row:
+                low = row & -row
+                row ^= low
+                v = low.bit_length() - 1
+                if not adj[v] >> u & 1:
                     raise ValueError(f"asymmetric adjacency between {u} and {v}")
 
     @classmethod

@@ -12,7 +12,12 @@ tells them apart). A pair row whose ends have no common neighbor contains
 by branch and bound: each search node branches on its smallest unhit row and
 fails once a greedy packing of pairwise disjoint unhit rows needs more picks
 than are left; with one pick left, that pick must lie in every unhit row.
-It tries sizes upward from the larger of two sound lower bounds:
+A node that branches and finds nothing is remembered in a table of refuted
+subproblems, keyed by its unhit rows and its allowed vertices inside them
+(a vertex in no unhit row cannot help), so a later node with the same key
+and no more picks left fails at once. The table lives for one call and is
+cleared whenever the row references it holds would pass ``REFUTED_BUDGET``.
+``lambda_exact`` tries sizes upward from the larger of two sound lower bounds:
 
 * counting: the outside vertices need pairwise distinct nonempty subsets of
   L, so ``order - size <= 2**size - 1`` must hold for any hit;
@@ -41,6 +46,10 @@ from .graph import Graph, TwinPartition, VertexSet
 from .graph import twin_partition  # noqa: F401
 
 ORACLE_MAX_ORDER = 24
+# row references the refuted-subproblem table of one ``lambda_exact`` call may
+# hold, 8 bytes each plus a key tuple and a dict slot per entry; the table is
+# cleared when the next entry would pass this
+REFUTED_BUDGET = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -134,6 +143,18 @@ def lambda_exact(
     that branching would find. The value is the first size, upward from the
     lower bound, at which ``hit`` succeeds.
 
+    A node with more than two picks left that passes the packing pass looks
+    up ``(tuple(unhit), allowed & inside)``, with ``inside`` the union of its
+    rows, in a table of refuted subproblems shared by both phases; the
+    packing pass collects ``allowed & inside`` as the union of the rows'
+    allowed parts. An entry of at least ``left`` means no hit exists,
+    because whether one exists depends only on the rows and on the allowed
+    vertices inside them. A node whose branches all fail stores ``left``
+    under its key. Only true failures are skipped, so both phases visit
+    their successful branches in the same order and return the same sets as
+    without the table. The table is cleared when the row references it
+    holds would pass ``REFUTED_BUDGET``.
+
     Equal-size sets are ordered by the smallest element of their symmetric
     difference, so the witness is walked down with the same core: with
     ``low`` the lowest free vertex of the current witness and ``cursor`` one
@@ -142,7 +163,8 @@ def lambda_exact(
     replaces it; a miss fixes ``low`` as the next pick.
 
     ``use_twin_pruning`` fixes the forced twin core before either phase.
-    ``stats.sets_tested`` counts ``hit`` nodes over both phases.
+    ``stats.sets_tested`` counts ``hit`` nodes over both phases, including
+    those the table answers.
     ``deterministic_witness`` is kept for compatibility and changes nothing.
     """
     started = time.perf_counter()
@@ -164,9 +186,12 @@ def lambda_exact(
     fixed = core if use_twin_pruning else 0
     unhit = sorted([r for r in rows if not r & fixed], key=int.bit_count)
     nodes = 0
+    # (rows, allowed vertices inside them) -> most picks known not to suffice
+    refuted: dict[tuple[tuple[int, ...], int], int] = {}
+    stored = 0
 
     def hit(unhit: list[int], allowed: int, left: int) -> int | None:
-        nonlocal nodes
+        nonlocal nodes, stored
         nodes += 1
         if not unhit:
             return 0
@@ -176,16 +201,22 @@ def lambda_exact(
             for r in unhit:
                 common &= r
             return common & -common or None
-        used = packed = 0
+        used = packed = reach = 0
         for r in unhit:
             part = r & allowed
             if not part:
                 return None
+            reach |= part
             if not part & used:
                 if packed == left:
                     return None
                 used |= part
                 packed += 1
+        if left > 2:
+            # allowed vertices in no unhit row cannot help, so they stay out
+            key = (tuple(unhit), reach)
+            if refuted.get(key, 0) >= left:
+                return None
         # the first row is always packed, and it is the smallest
         branch = unhit[0] & allowed
         while branch:
@@ -195,6 +226,12 @@ def lambda_exact(
             if found is not None:
                 return found | bit
             allowed &= ~bit
+        if left > 2:
+            stored += len(unhit)
+            if stored > REFUTED_BUDGET:
+                refuted.clear()
+                stored = len(unhit)
+            refuted[key] = left
         return None
 
     size = start

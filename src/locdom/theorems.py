@@ -20,7 +20,7 @@ import csv
 import random
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from typing import IO, Iterable
+from typing import IO
 
 from .families import (
     FamilySpec,
@@ -38,7 +38,7 @@ from .families import (
     star_graph,
 )
 from .functigraph import FunctionMap, Signature, build_functigraph
-from .graph import Graph, is_connected
+from .graph import MAX_ORDER, Graph, is_connected
 from .solver import lambda_exact
 
 SATURATED = "saturated"
@@ -184,11 +184,36 @@ class CaseRow:
 
 @dataclass(frozen=True)
 class VerifyConfig:
+    """Sweep ceilings; a ceiling below a section's first order turns it off.
+
+    Ceilings that would build a functigraph above ``MAX_ORDER``, or ask for
+    isomorphism classes beyond order 6, raise ``ValueError`` here, before
+    any case is built.
+    """
+
     n_max_complete: int = 7
     n_max_hi: int = 9
     n_max_bounds: int = 5
     include_gap_lemma: bool = True
     t_max: int = 4
+
+    def __post_init__(self) -> None:
+        # every functigraph has twice the base order; the gap base has t + 2
+        for name, base_order in (
+            ("n_max_complete", self.n_max_complete),
+            ("n_max_hi", self.n_max_hi),
+            ("t_max", self.t_max + 2),
+        ):
+            if 2 * base_order > MAX_ORDER:
+                raise ValueError(
+                    f"{name} = {getattr(self, name)} builds functigraphs above "
+                    f"order {MAX_ORDER}"
+                )
+        if self.n_max_bounds > 6:
+            raise ValueError(
+                f"n_max_bounds = {self.n_max_bounds} exceeds 6, the largest base "
+                "order whose isomorphism classes are enumerated"
+            )
 
 
 @dataclass
@@ -415,19 +440,20 @@ def verify_suite(
         )
         if n <= 4:
             bases = [g for g in all_graphs(n) if is_connected(g)]
-            shared_maps: list[FunctionMap] | None = None
+            maps = list(all_maps(n))
         else:
             bases = nonisomorphic_connected_graphs(n)
-            shared_maps = _sampled_maps(n, rng)
+            maps = _sampled_maps(n, rng)
+        map_strs = [_map_str(fmap) for fmap in maps]
         for base in bases:
-            maps: Iterable[FunctionMap] = shared_maps if shared_maps is not None else all_maps(n)
-            for fmap in maps:
+            edges = _edge_str(base)
+            for fmap, map_str in zip(maps, map_strs):
                 fg = build_functigraph(base, fmap)
                 bounds_cases.append(
                     TheoremCase(
                         "bounds-range",
                         n,
-                        f"edges={_edge_str(base)} map={_map_str(fmap)}",
+                        f"edges={edges} map={map_str}",
                         bounds.lower,
                         bounds.upper,
                         fg.graph,

@@ -239,6 +239,22 @@ class TestVerify:
         assert code == 1
         assert "mismatch demo-bad" in out
 
+    @pytest.mark.parametrize(
+        "flags",
+        [["--nmax-complete", "65"], ["--nmax-hi", "65"], ["--nmax-bounds", "7"],
+         ["--gap-tmax", "63"]],
+    )
+    def test_sweep_ceilings_exit_two(self, capsys, monkeypatch, flags):
+        # the check must come before any case is built
+        def no_build(*args):
+            raise AssertionError("a case was built before the ceiling check")
+
+        monkeypatch.setattr("locdom.theorems.build_functigraph", no_build)
+        code, out, err = run(capsys, ["verify", *flags])
+        assert code == 2
+        assert out == ""
+        assert "error:" in err
+
     def test_ld_threads_env(self, capsys, monkeypatch):
         monkeypatch.setenv("LD_THREADS", "2")
         code, out, _ = run(

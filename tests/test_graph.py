@@ -139,8 +139,11 @@ class TestGraphConstruction:
             Graph.from_edges(129, [])
 
     def test_rejects_asymmetric_rows(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="between 0 and 1"):
             Graph(2, (0b10, 0b00))
+        # visible only from the higher vertex's row
+        with pytest.raises(ValueError, match="between 2 and 0"):
+            Graph(3, (0b010, 0b101, 0b011))
 
 
 class TestNeighborhood:

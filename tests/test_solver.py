@@ -296,8 +296,25 @@ class TestLambdaExact:
             assert res.stats.pruned_cardinalities_skipped == floor
 
     def test_lex_extraction_matches_oracle(self):
-        graphs = [build_functigraph(complete_graph(n), identity_map(n)).graph for n in range(3, 8)]
-        graphs += [cycle_graph(n) for n in range(5, 15)]
+        # from K8 identity, C15 and P10 on, the refuted-subproblem table fires
+        graphs = [build_functigraph(complete_graph(n), identity_map(n)).graph for n in range(3, 10)]
+        graphs += [cycle_graph(n) for n in range(5, 19)]
+        graphs += [path_graph(10), path_graph(15)]
+        for g in graphs:
+            reference = lambda_oracle(g)
+            for pruning in (True, False):
+                res = lambda_exact(g, use_twin_pruning=pruning)
+                assert (res.lambda_, res.witness) == (reference.lambda_, reference.witness)
+
+    def test_solved_subproblems_are_not_refuted(self):
+        # without the twin core, a table that also stored solved subproblems
+        # refutes a solvable one here and misses the lex-least witness
+        graphs = [
+            Graph.from_edges(14, [(0, 6), (1, 2), (3, 4), (5, 6), (6, 13), (7, 11),
+                                  (9, 10), (11, 13)]),
+            Graph.from_edges(14, [(0, 4), (0, 11), (1, 12), (3, 8), (4, 12), (5, 7),
+                                  (5, 13), (10, 12)]),
+        ]
         for g in graphs:
             reference = lambda_oracle(g)
             for pruning in (True, False):
@@ -306,10 +323,13 @@ class TestLambdaExact:
 
     def test_larger_values(self):
         assert lambda_exact(cycle_graph(30)).lambda_ == 12
-        fg = build_functigraph(complete_graph(14), identity_map(14))
-        assert lambda_exact(fg.graph).lambda_ == predicted_lambda_complete(
-            14, Signature((1,) * 14)
-        )
+        for n in (14, 18):
+            fg = build_functigraph(complete_graph(n), identity_map(n))
+            res = lambda_exact(fg.graph)
+            assert res.lambda_ == predicted_lambda_complete(n, Signature((1,) * n))
+            if n == 14:
+                # without the refuted-subproblem table this takes 68,324 nodes
+                assert res.stats.sets_tested < 10_000
 
     @settings(max_examples=150, deadline=None)
     @given(st.data())

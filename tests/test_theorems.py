@@ -206,6 +206,25 @@ class TestVerifySuite:
         assert report.mismatches() == [bad]
         assert report.section_counts()["demo"] == (1, 2)
 
+    @pytest.mark.parametrize(
+        "ceiling",
+        [{"n_max_complete": 65}, {"n_max_hi": 65}, {"n_max_bounds": 7}, {"t_max": 63}],
+    )
+    def test_ceiling_rejected_before_any_case(self, monkeypatch, ceiling):
+        def no_build(*args):
+            raise AssertionError("a case was built before the ceiling check")
+
+        monkeypatch.setattr(theorems, "build_functigraph", no_build)
+        with pytest.raises(ValueError):
+            verify_suite(VerifyConfig(**ceiling))
+
+    def test_ceilings_accept_section_off_and_largest_values(self):
+        # the values a caller passes to switch every section off
+        off = VerifyConfig(n_max_complete=1, n_max_hi=3, n_max_bounds=2,
+                           include_gap_lemma=False)
+        assert verify_suite(off).total == 0
+        VerifyConfig(n_max_complete=64, n_max_hi=64, n_max_bounds=6, t_max=62)
+
     def test_solve_all_caps_workers_at_case_count(self, monkeypatch):
         # the pool is a serial fake, so no process is started
         made = []
