@@ -239,7 +239,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_lambda = sub.add_parser("lambda", help="exact value via the hitting-set search")
     _add_input_options(p_lambda)
     p_lambda.add_argument("--no-prune", action="store_true",
-                          help="start the search without the forced twin core")
+                          help="start the search without the forced twin core; "
+                          "changes nothing on graphs of order <= 12, where every "
+                          "subset is decided at once")
     p_lambda.add_argument("--deterministic-witness", action="store_true",
                           help="accepted for compatibility; every witness is "
                           "already the lexicographically least")

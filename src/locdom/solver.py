@@ -7,27 +7,36 @@ minimum size of such a set.
 
 Equivalently, L is a hitting set of the constraint rows ``N[v]`` (v is in L
 or has a neighbor in L) and ``{u, v} | (N(u) ^ N(v))`` (u or v is in L, or L
-tells them apart). A pair row whose ends have no common neighbor contains
-``N[u]``, so it is implied and left out. ``lambda_exact`` solves that model
-by branch and bound: each search node branches on its smallest unhit row and
-fails once a greedy packing of pairwise disjoint unhit rows needs more picks
-than are left; with one pick left, that pick must lie in every unhit row.
-A node that branches and finds nothing is remembered in a table of refuted
-subproblems, keyed by its unhit rows and its allowed vertices inside them
-(a vertex in no unhit row cannot help), so a later node with the same key
-and no more picks left fails at once. The table lives for one call and is
-cleared whenever the row references it holds would pass ``REFUTED_BUDGET``.
-``lambda_exact`` tries sizes upward from the larger of two sound lower bounds:
+tells them apart). ``lambda_exact`` solves that model in one of two ways,
+chosen by the order n alone:
+
+* n <= ``TABLE_MAX_ORDER``: a table pass decides all ``2**n`` subsets at
+  once. It holds them as the bits of one integer and ANDs in, row by row,
+  the subsets that hit the row, read off precomputed per-order tables. The
+  value and the lexicographically least witness are then read off
+  precomputed size layers. ``stats.sets_tested`` is ``2**n`` and
+  ``use_twin_pruning`` changes nothing.
+* larger n: branch and bound. A pair row whose ends have no common neighbor
+  contains ``N[u]``, so it is implied and left out. Each search node
+  branches on its smallest unhit row and fails once a greedy packing of
+  pairwise disjoint unhit rows needs more picks than are left; with one
+  pick left, that pick must lie in every unhit row. A node that branches
+  and finds nothing is remembered in a table of refuted subproblems, keyed
+  by its unhit rows and its allowed vertices inside them (a vertex in no
+  unhit row cannot help), so a later node with the same key and no more
+  picks left fails at once. The table lives for one call and is cleared
+  whenever the row references it holds would pass ``REFUTED_BUDGET``. The
+  same search then turns the first hit into the lexicographically least
+  one, one vertex at a time (see ``_lambda_search``).
+
+Both try sizes upward from the larger of two sound lower bounds, and the
+first size with a hit is the value:
 
 * counting: the outside vertices need pairwise distinct nonempty subsets of
   L, so ``order - size <= 2**size - 1`` must hold for any hit;
 * twins: a pair row equal to ``{u, v}`` marks twins u < v. Swapping twins is
   an automorphism, so the lexicographically least solution of each size
   contains every such u; that forced twin core may seed the search.
-
-The first size with a hit is the value. The same search then turns that hit
-into the lexicographically least one, one vertex at a time (see
-``lambda_exact``).
 
 ``lambda_oracle`` is the trust anchor: a plain unpruned enumeration of all
 subsets in ascending cardinality, kept free of every shortcut used by the
@@ -46,6 +55,14 @@ from .graph import Graph, TwinPartition, VertexSet
 from .graph import twin_partition  # noqa: F401
 
 ORACLE_MAX_ORDER = 24
+# largest order that ``lambda_exact`` decides by one pass over all subsets
+TABLE_MAX_ORDER = 12
+# a constraint row indexes the subset tables in two chunks of this many
+# vertices, which covers every order up to TABLE_MAX_ORDER
+_CHUNK = 6
+_LOW = (1 << _CHUNK) - 1
+# order -> subset tables of ``_tables``, built on first use
+_TABLES: dict[int, tuple[list[int], list[int], list[int]]] = {}
 # row references the refuted-subproblem table of one ``lambda_exact`` call may
 # hold, 8 bytes each plus a key tuple and a dict slot per entry; the table is
 # cleared when the next entry would pass this
@@ -132,6 +149,95 @@ def lambda_exact(
 ) -> SolveResult:
     """Exact location-domination number with the lexicographically least witness.
 
+    Graphs of order at most ``TABLE_MAX_ORDER`` go to ``_lambda_table``, which
+    decides all ``2**n`` subsets at once: there ``stats.sets_tested`` is
+    ``2**n`` and ``use_twin_pruning`` changes nothing. Larger graphs go to the
+    branch and bound of ``_lambda_search``, where ``stats.sets_tested`` counts
+    search nodes. Both give the same value, witness and start bound.
+    ``deterministic_witness`` is kept for compatibility and changes nothing.
+    """
+    if g.n <= TABLE_MAX_ORDER:
+        return _lambda_table(g)
+    return _lambda_search(g, use_twin_pruning)
+
+
+def _tables(n: int) -> tuple[list[int], list[int], list[int]]:
+    """Subset tables of order ``n`` for ``_lambda_table``, built on first use.
+
+    Each table is a ``2**n``-bit integer whose bit p stands for the set that
+    holds vertex v iff bit ``n - 1 - v`` of p is set. ``lo[k]`` and ``hi[k]``
+    mark the sets that meet vertex set ``k`` and ``k << _CHUNK``, so the sets
+    hitting row r are ``lo[r & _LOW] | hi[r >> _CHUNK]``; ``layers[s]`` marks
+    the sets of size s.
+    """
+    tables = _TABLES.get(n)
+    if tables is None:
+        ones = (1 << (1 << n)) - 1
+        # holding[v]: the sets holding v, that is the positions p with bit
+        # j = n - 1 - v set, the upper 2**j of every 2 * 2**j positions
+        holding = [0] * (2 * _CHUNK)
+        for v in range(n):
+            run = 1 << n - 1 - v
+            holding[v] = ones // ((1 << 2 * run) - 1) * ((1 << run) - 1 << run)
+        lo = [0] * (1 << _CHUNK)
+        hi = [0] * (1 << _CHUNK)
+        for k in range(1, 1 << _CHUNK):
+            v = (k & -k).bit_length() - 1
+            lo[k] = lo[k & k - 1] | holding[v]
+            hi[k] = hi[k & k - 1] | holding[v + _CHUNK]
+        # positions below 2**(m + 1) of popcount s: those below 2**m, and
+        # those of popcount s - 1 shifted up by 2**m
+        layers = [1]
+        for m in range(n):
+            layers = [
+                (layers[s] if s <= m else 0) | (layers[s - 1] << (1 << m) if s else 0)
+                for s in range(m + 2)
+            ]
+        tables = _TABLES[n] = (lo, hi, layers)
+    return tables
+
+
+def _lambda_table(g: Graph) -> SolveResult:
+    """Bit-parallel pass over all subsets, for graphs of order ``<= TABLE_MAX_ORDER``.
+
+    ``ok`` starts as every subset and is ANDed with the sets that hit each
+    constraint row, so it ends as the locating-dominating sets. Implied pair
+    rows cost one AND each and are not filtered out. The twin core is read
+    off the same pair rows, for the start bound alone. In the bit order of
+    ``_tables`` vertex 0 is the highest bit, so of two sets of one size
+    the one holding the first vertex where they differ, the lex-lesser, sits
+    higher. The value is the first size from the start bound with a set in
+    ``ok``, and the witness is the highest such position.
+    """
+    started = time.perf_counter()
+    n = g.n
+    adj = g.adj
+    lo, hi, layers = _tables(n)
+    ok = -1
+    for v in range(n):
+        row = adj[v] | 1 << v
+        ok &= lo[row & _LOW] | hi[row >> _CHUNK]
+    core = 0
+    for u in range(n):
+        au = adj[u]
+        for v in range(u + 1, n):
+            pair = 1 << u | 1 << v
+            row = pair | au ^ adj[v]
+            if row == pair:
+                core |= 1 << u
+            ok &= lo[row & _LOW] | hi[row >> _CHUNK]
+    start = max(info_lower_bound(n), core.bit_count())
+    size = start
+    while not (found := ok & layers[size]):
+        size += 1
+    witness = int(f"{found.bit_length() - 1:0{n}b}"[::-1], 2)
+    elapsed = time.perf_counter() - started
+    return SolveResult(size, VertexSet(n, witness), SearchStats(1 << n, start, elapsed))
+
+
+def _lambda_search(g: Graph, use_twin_pruning: bool = True) -> SolveResult:
+    """Branch and bound over the hitting-set model, for graphs of any order.
+
     The search core ``hit(unhit, allowed, left)`` returns some set of at most
     ``left`` vertices from ``allowed`` that hits every row in ``unhit``, or
     None. Rows are sorted by size. In one pass over them a node fails when a
@@ -164,8 +270,7 @@ def lambda_exact(
 
     ``use_twin_pruning`` fixes the forced twin core before either phase.
     ``stats.sets_tested`` counts ``hit`` nodes over both phases, including
-    those the table answers.
-    ``deterministic_witness`` is kept for compatibility and changes nothing.
+    those the refuted-subproblem table answers.
     """
     started = time.perf_counter()
     n = g.n

@@ -18,6 +18,10 @@ from locdom.families import (
 from locdom.functigraph import Signature, build_functigraph
 from locdom.graph import Graph, VertexSet, bits, permute_graph, twin_partition
 from locdom.solver import (
+    TABLE_MAX_ORDER,
+    _lambda_search,
+    _lambda_table,
+    _tables,
     info_lower_bound,
     is_locating_dominating,
     lambda_exact,
@@ -93,6 +97,17 @@ def small_graphs(draw):
     edges |= {(main + 2 * i, main + 2 * i + 1) for i in range(k2)}
     g = Graph.from_edges(n, sorted(edges))
     return permute_graph(g, draw(st.permutations(range(n))))
+
+
+# lambda_exact runs the table pass up to TABLE_MAX_ORDER; the search core is
+# driven directly as well, so it keeps its coverage on small graphs
+CORES = (lambda_exact, _lambda_search)
+
+
+def all_graphs(n):
+    pairs = list(combinations(range(n), 2))
+    for mask in range(1 << len(pairs)):
+        yield Graph.from_edges(n, [pairs[j] for j in bits(mask)])
 
 
 def all_connected(n):
@@ -251,16 +266,18 @@ class TestLambdaExact:
             graphs.append(with_isolated_and_pendants(rng, core))
         for g in graphs:
             expected = naive_lambda(g)
-            for pruning in (True, False):
-                res = lambda_exact(g, use_twin_pruning=pruning)
-                assert (res.lambda_, res.witness.members) == expected
+            for solve in CORES:
+                for pruning in (True, False):
+                    res = solve(g, use_twin_pruning=pruning)
+                    assert (res.lambda_, res.witness.members) == expected
 
     def test_oracle_equivalence_exhaustive_n4(self):
         for g in all_connected(4):
             reference = lambda_oracle(g)
-            for pruning in (True, False):
-                res = lambda_exact(g, use_twin_pruning=pruning)
-                assert (res.lambda_, res.witness) == (reference.lambda_, reference.witness)
+            for solve in CORES:
+                for pruning in (True, False):
+                    res = solve(g, use_twin_pruning=pruning)
+                    assert (res.lambda_, res.witness) == (reference.lambda_, reference.witness)
 
     def test_deterministic_witness_is_lex_least(self):
         rng = random.Random(37)
@@ -296,15 +313,17 @@ class TestLambdaExact:
             assert res.stats.pruned_cardinalities_skipped == floor
 
     def test_lex_extraction_matches_oracle(self):
-        # from K8 identity, C15 and P10 on, the refuted-subproblem table fires
+        # in the search core, the refuted-subproblem table fires from K8
+        # identity, C15 and P10 on
         graphs = [build_functigraph(complete_graph(n), identity_map(n)).graph for n in range(3, 10)]
         graphs += [cycle_graph(n) for n in range(5, 19)]
         graphs += [path_graph(10), path_graph(15)]
         for g in graphs:
             reference = lambda_oracle(g)
-            for pruning in (True, False):
-                res = lambda_exact(g, use_twin_pruning=pruning)
-                assert (res.lambda_, res.witness) == (reference.lambda_, reference.witness)
+            for solve in CORES:
+                for pruning in (True, False):
+                    res = solve(g, use_twin_pruning=pruning)
+                    assert (res.lambda_, res.witness) == (reference.lambda_, reference.witness)
 
     def test_solved_subproblems_are_not_refuted(self):
         # without the twin core, a table that also stored solved subproblems
@@ -336,9 +355,10 @@ class TestLambdaExact:
     def test_differential_against_oracle(self, data):
         g = data.draw(small_graphs())
         reference = lambda_oracle(g)
-        for pruning in (True, False):
-            res = lambda_exact(g, use_twin_pruning=pruning)
-            assert (res.lambda_, res.witness) == (reference.lambda_, reference.witness)
+        for solve in CORES:
+            for pruning in (True, False):
+                res = solve(g, use_twin_pruning=pruning)
+                assert (res.lambda_, res.witness) == (reference.lambda_, reference.witness)
         assert naive_is_ld(g, res.witness.members)
         perm = data.draw(st.permutations(range(g.n)))
         assert lambda_exact(permute_graph(g, perm)).lambda_ == reference.lambda_
@@ -352,9 +372,82 @@ class TestLambdaExact:
             assert lambda_exact(permute_graph(g, perm)).lambda_ == lambda_exact(g).lambda_
 
     def test_stats_counts(self):
-        res = lambda_exact(complete_graph(4))
-        assert res.stats.sets_tested >= 1
-        assert res.stats.elapsed >= 0.0
+        # the table pass decides every subset of K4 at once
+        for pruning in (True, False):
+            res = lambda_exact(complete_graph(4), use_twin_pruning=pruning)
+            assert res.stats.sets_tested == 16
+            assert res.stats.pruned_cardinalities_skipped == 3
+            assert res.stats.elapsed >= 0.0
+
+
+def answer(res):
+    return res.lambda_, res.witness, res.stats.pruned_cardinalities_skipped
+
+
+class TestTablePass:
+    def test_matches_oracle_on_every_labeled_graph_up_to_five(self):
+        count = 0
+        for n in range(1, 6):
+            for g in all_graphs(n):
+                count += 1
+                reference = lambda_oracle(g)
+                res = _lambda_table(g)
+                assert (res.lambda_, res.witness) == (reference.lambda_, reference.witness)
+                floor = max(info_lower_bound(n), twin_lower_bound(twin_partition(g)))
+                assert res.stats.pruned_cardinalities_skipped == floor
+                assert res.stats.sets_tested == 1 << n
+        assert count == 1099
+
+    def test_gate_boundary(self):
+        rng = random.Random(53)
+        graphs = [
+            build_functigraph(complete_graph(6), identity_map(6)).graph,
+            cycle_graph(TABLE_MAX_ORDER),
+            cycle_graph(TABLE_MAX_ORDER + 1),
+        ]
+        for n in (TABLE_MAX_ORDER, TABLE_MAX_ORDER + 1):
+            for k2 in (0, 1, 2, 3):
+                # k2 K2 components and two isolated vertices, relabeled
+                main = n - 2 * k2 - 2
+                edges = random_graph(rng, main, rng.uniform(0.2, 0.7)).edges()
+                edges += [(main + 2 * i, main + 2 * i + 1) for i in range(k2)]
+                perm = list(range(n))
+                rng.shuffle(perm)
+                graphs.append(permute_graph(Graph.from_edges(n, edges), perm))
+        assert {g.n for g in graphs} == {TABLE_MAX_ORDER, TABLE_MAX_ORDER + 1}
+        for g in graphs:
+            reference = lambda_oracle(g)
+            res = lambda_exact(g)
+            assert (res.lambda_, res.witness) == (reference.lambda_, reference.witness)
+            if g.n <= TABLE_MAX_ORDER:
+                assert res.stats.sets_tested == 1 << g.n
+            else:
+                assert res.stats.sets_tested == _lambda_search(g).stats.sets_tested
+
+    def test_cores_agree_on_random_graphs(self):
+        rng = random.Random(59)
+        for i in range(2000):
+            if i % 2:
+                core = random_graph(rng, rng.randint(1, 9), rng.uniform(0.0, 1.0))
+                g = with_isolated_and_pendants(rng, core)
+            else:
+                g = random_graph(rng, rng.randint(1, TABLE_MAX_ORDER), rng.uniform(0.0, 1.0))
+            table = answer(_lambda_table(g))
+            for pruning in (True, False):
+                assert answer(_lambda_search(g, use_twin_pruning=pruning)) == table
+
+    def test_tables_match_brute_force(self):
+        for n in range(1, 9):
+            lo, hi, layers = _tables(n)
+            # position p stands for the set holding v iff bit n - 1 - v of p is set
+            sets = [sum(1 << v for v in range(n) if p >> (n - 1 - v) & 1) for p in range(1 << n)]
+            assert layers == [
+                sum(1 << p for p, m in enumerate(sets) if m.bit_count() == size)
+                for size in range(n + 1)
+            ]
+            for k in range(64):
+                assert lo[k] == sum(1 << p for p, m in enumerate(sets) if m & k)
+                assert hi[k] == sum(1 << p for p, m in enumerate(sets) if m & k << 6)
 
 
 class TestLambdaOracle:
