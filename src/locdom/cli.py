@@ -4,6 +4,7 @@ and run the verification sweeps.
 Exit codes: 0 on success (and all rows matching for ``verify``), 1 when a
 verification sweep has mismatches, 2 on any input error. With ``--json`` or
 ``--csv``, stdout carries only the structured artifact; prose goes to stderr.
+At most one of them may write to stdout.
 The ``LD_THREADS`` environment variable caps the verify worker count
 (unset: sequential, 0: one worker per CPU; never more than the CPU count).
 """
@@ -16,7 +17,7 @@ import os
 import sys
 from typing import IO
 
-from .families import FAMILY_KINDS, FamilySpec, make_family, make_map
+from .families import FAMILY_KINDS, FamilySpec, make_family, parse_map
 from .functigraph import Functigraph, build_functigraph, functigraph_from_json_dict
 from .graph import (
     Graph,
@@ -34,35 +35,6 @@ def _read_text(path: str | None) -> str:
         return sys.stdin.read()
     with open(path, "r", encoding="utf-8") as fh:
         return fh.read()
-
-
-def _parse_map_spec(spec: str, n: int):
-    if spec == "identity":
-        return make_map("identity", n=n)
-    kind, sep, rest = spec.partition(":")
-    if not sep:
-        raise ValueError(f"bad map spec {spec!r}; expected kind:params or 'identity'")
-    if kind == "constant":
-        try:
-            target = int(rest)
-        except ValueError:
-            raise ValueError(f"bad constant target {rest!r}") from None
-        return make_map("constant", n=n, target=target)
-    if kind in ("perm", "permutation"):
-        values = _int_list(rest)
-        if len(values) != n:
-            raise ValueError(f"permutation has {len(values)} entries, base order is {n}")
-        return make_map("permutation", perm=values)
-    if kind == "signature":
-        return make_map("signature", n=n, parts=_int_list(rest))
-    raise ValueError(f"unknown map kind {kind!r}")
-
-
-def _int_list(text: str) -> list[int]:
-    try:
-        return [int(x) for x in text.split(",") if x != ""]
-    except ValueError:
-        raise ValueError(f"bad integer list {text!r}") from None
 
 
 def _load_input(
@@ -87,7 +59,7 @@ def _load_input(
     else:
         base = graph_from_edge_text(text)
     if map_spec is not None:
-        fg = build_functigraph(base, _parse_map_spec(map_spec, base.n))
+        fg = build_functigraph(base, parse_map(map_spec, base.n))
         return fg.graph, fg
     if require_functigraph:
         raise ValueError("--functigraph needs functigraph JSON input or --map")
@@ -192,6 +164,8 @@ def _print_summary(report: Report, stream: IO[str]) -> None:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    if args.csv == "-" and args.json_out == "-":
+        raise ValueError("--csv - and --json - would both write to stdout; send one to a file")
     config = VerifyConfig(
         n_max_complete=args.nmax_complete,
         n_max_hi=args.nmax_hi,

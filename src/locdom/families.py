@@ -146,32 +146,38 @@ def signature_map(parts: Sequence[int]) -> FunctionMap:
     return FunctionMap(sig.n, tuple(targets))
 
 
-def make_map(
-    kind: str,
-    n: int | None = None,
-    target: int | None = None,
-    perm: Sequence[int] | None = None,
-    parts: Sequence[int] | None = None,
-) -> FunctionMap:
-    if kind == "constant":
-        if n is None or target is None:
-            raise ValueError("constant map needs n and target")
-        return constant_map(n, target)
-    if kind == "identity":
-        if n is None:
-            raise ValueError("identity map needs n")
+def parse_map(spec: str, n: int) -> FunctionMap:
+    """Map on an n-vertex base from its text form.
+
+    The forms are ``identity``, ``constant:<v>``, ``perm:<list>`` (also
+    spelled ``permutation:<list>``) and ``signature:<list>``, where a list is
+    comma-separated integers. A permutation needs n entries, and signature
+    parts must sum to n.
+    """
+    if spec == "identity":
         return identity_map(n)
-    if kind == "permutation":
-        if perm is None:
-            raise ValueError("permutation map needs perm")
-        return permutation_map(perm)
+    kind, sep, rest = spec.partition(":")
+    if not sep:
+        raise ValueError(f"bad map spec {spec!r}; expected kind:params or 'identity'")
+    if kind == "constant":
+        try:
+            target = int(rest)
+        except ValueError:
+            raise ValueError(f"bad constant target {rest!r}") from None
+        return constant_map(n, target)
+    if kind not in ("perm", "permutation", "signature"):
+        raise ValueError(f"unknown map kind {kind!r}")
+    try:
+        values = [int(x) for x in rest.split(",") if x != ""]
+    except ValueError:
+        raise ValueError(f"bad integer list {rest!r}") from None
     if kind == "signature":
-        if parts is None:
-            raise ValueError("signature map needs parts")
-        if n is not None and sum(parts) != n:
+        if sum(values) != n:
             raise ValueError(f"signature parts must sum to {n}")
-        return signature_map(parts)
-    raise ValueError(f"unknown map kind {kind!r}")
+        return signature_map(values)
+    if len(values) != n:
+        raise ValueError(f"permutation has {len(values)} entries, base order is {n}")
+    return permutation_map(values)
 
 
 def signatures(n: int) -> list[Signature]:

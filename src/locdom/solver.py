@@ -22,8 +22,7 @@ chosen by the order n alone:
   pairwise disjoint unhit rows needs more picks than are left; with one
   pick left, that pick must lie in every unhit row. A node that branches
   and finds nothing is remembered in a table of refuted subproblems, keyed
-  by its unhit rows and its allowed vertices inside them (a vertex in no
-  unhit row cannot help), so a later node with the same key and no more
+  by its unhit rows alone, so a later node with the same rows and no more
   picks left fails at once. The table lives for one call and is cleared
   whenever the row references it holds would pass ``REFUTED_BUDGET``. The
   same search then turns the first hit into the lexicographically least
@@ -250,16 +249,24 @@ def _lambda_search(g: Graph, use_twin_pruning: bool = True) -> SolveResult:
     lower bound, at which ``hit`` succeeds.
 
     A node with more than two picks left that passes the packing pass looks
-    up ``(tuple(unhit), allowed & inside)``, with ``inside`` the union of its
-    rows, in a table of refuted subproblems shared by both phases; the
-    packing pass collects ``allowed & inside`` as the union of the rows'
-    allowed parts. An entry of at least ``left`` means no hit exists,
-    because whether one exists depends only on the rows and on the allowed
-    vertices inside them. A node whose branches all fail stores ``left``
-    under its key. Only true failures are skipped, so both phases visit
-    their successful branches in the same order and return the same sets as
-    without the table. The table is cleared when the row references it
-    holds would pass ``REFUTED_BUDGET``.
+    up ``tuple(unhit)`` in a table of refuted subproblems shared by both
+    phases. An entry of at least ``left`` means no hit exists. A node whose
+    branches all fail stores ``left`` under its rows. The rows alone are a
+    sound key. Say a node X with rows U fails, and a later node Y with rows U
+    and no more picks left has a hit S. Nothing in S was dropped before the
+    paths to X and Y part: within one root ``allowed`` only shrinks as the
+    walk goes on, and a later root's ``allowed`` never grows, because the λ
+    roots share one set and the extraction roots only grow ``fixed`` and
+    ``cursor``. So a vertex of S missing from X's ``allowed`` was dropped on
+    the path down to X, after its branch at some node W failed. Take the
+    first such drop, of v at W: S plus the picks from W down to X hits W's
+    rows, holds v, lies inside what W allowed when it tried v, and needs no
+    more picks than W had. So v's branch had a hit and did not truly fail.
+    By induction over the order in which nodes fail, every failure, and so
+    every skip, is a true one. Both phases therefore visit their successful
+    branches in the same order and return the same sets as without the
+    table. The table is cleared when the row references it holds would
+    pass ``REFUTED_BUDGET``.
 
     Equal-size sets are ordered by the smallest element of their symmetric
     difference, so the witness is walked down with the same core: with
@@ -291,8 +298,8 @@ def _lambda_search(g: Graph, use_twin_pruning: bool = True) -> SolveResult:
     fixed = core if use_twin_pruning else 0
     unhit = sorted([r for r in rows if not r & fixed], key=int.bit_count)
     nodes = 0
-    # (rows, allowed vertices inside them) -> most picks known not to suffice
-    refuted: dict[tuple[tuple[int, ...], int], int] = {}
+    # unhit rows -> most picks known not to suffice
+    refuted: dict[tuple[int, ...], int] = {}
     stored = 0
 
     def hit(unhit: list[int], allowed: int, left: int) -> int | None:
@@ -306,20 +313,18 @@ def _lambda_search(g: Graph, use_twin_pruning: bool = True) -> SolveResult:
             for r in unhit:
                 common &= r
             return common & -common or None
-        used = packed = reach = 0
+        used = packed = 0
         for r in unhit:
             part = r & allowed
             if not part:
                 return None
-            reach |= part
             if not part & used:
                 if packed == left:
                     return None
                 used |= part
                 packed += 1
         if left > 2:
-            # allowed vertices in no unhit row cannot help, so they stay out
-            key = (tuple(unhit), reach)
+            key = tuple(unhit)
             if refuted.get(key, 0) >= left:
                 return None
         # the first row is always packed, and it is the smallest

@@ -357,85 +357,97 @@ def verify_suite(
     representative per isomorphism class with a deterministic map sample.
     """
     cfg = config or VerifyConfig()
-    rng = random.Random(sample_seed)
+    sigs, complete = _complete_cases(cfg.n_max_complete)
+    cases = complete + _hi_cases(cfg.n_max_hi)
+    cases += _bounds_cases(cfg.n_max_bounds, random.Random(sample_seed))
+    if cfg.include_gap_lemma:
+        cases += _gap_cases(cfg.t_max)
+    rows = [_row(case, solved) for case, solved in zip(cases, _solve_all(cases, workers))]
+    head = rows[: len(complete)]
+    return Report(head + _derived_rows(sigs, head) + rows[len(complete) :])
 
-    complete_cases: list[TheoremCase] = []
-    complete_meta: list[tuple[int, Signature]] = []
-    for n in range(2, cfg.n_max_complete + 1):
-        for sig in signatures(n):
-            fg = build_functigraph(complete_graph(n), signature_map(sig.parts))
-            predicted = predicted_lambda_complete(n, sig)
-            complete_cases.append(
-                TheoremCase(
-                    complete_case_id(n, sig),
-                    n,
-                    f"sig={_sig_str(sig)}",
-                    predicted,
-                    predicted,
-                    fg.graph,
-                    anchor=_complete_anchor(n, sig),
-                )
-            )
-            complete_meta.append((n, sig))
 
-    base_cases = [
-        TheoremCase(
+def _exact(
+    case_id: str, n: int, params: str, value: int, graph: Graph, anchor: str = ""
+) -> TheoremCase:
+    return TheoremCase(case_id, n, params, value, value, graph, anchor)
+
+
+def _complete_cases(n_max: int) -> tuple[list[tuple[int, Signature]], list[TheoremCase]]:
+    """Signature cases of the complete graphs on 2..n_max vertices, then the
+    ``complete-base`` cases from n = 4; ``sigs`` lists the (n, sig) of each
+    signature case, in case order."""
+    sigs = [(n, sig) for n in range(2, n_max + 1) for sig in signatures(n)]
+    cases = [
+        _exact(
+            complete_case_id(n, sig),
+            n,
+            f"sig={_sig_str(sig)}",
+            predicted_lambda_complete(n, sig),
+            build_functigraph(complete_graph(n), signature_map(sig.parts)).graph,
+            _complete_anchor(n, sig),
+        )
+        for n, sig in sigs
+    ]
+    cases += [
+        _exact(
             "complete-base",
             n,
             "family=complete",
             n - 1,
-            n - 1,
             complete_graph(n),
-            anchor="complete graphs need n-1",
+            "complete graphs need n-1",
         )
-        for n in range(4, cfg.n_max_complete + 1)
+        for n in range(4, n_max + 1)
     ]
+    return sigs, cases
 
-    hi_cases: list[TheoremCase] = []
-    for n in range(4, cfg.n_max_hi + 1):
+
+def _hi_cases(n_max: int) -> list[TheoremCase]:
+    cases: list[TheoremCase] = []
+    for n in range(4, n_max + 1):
         for i in range(1, n // 2 + 1):
             kinds = [TWIN_PAIR] + ([SATURATED] if n > 2 * i else [])
             for kind in kinds:
                 target = 0 if kind == TWIN_PAIR else 2 * i
                 fg = build_functigraph(h_graph(n, i), constant_map(n, target))
-                predicted = predicted_lambda_hi(n, i, kind)
-                hi_cases.append(
-                    TheoremCase(
+                cases.append(
+                    _exact(
                         hi_case_id(n, i, kind),
                         n,
                         f"i={i} target={target} kind={kind}",
-                        predicted,
-                        predicted,
+                        predicted_lambda_hi(n, i, kind),
                         fg.graph,
                     )
                 )
+    return cases
 
-    bounds_cases: list[TheoremCase] = []
-    for n in range(3, cfg.n_max_bounds + 1):
+
+def _bounds_cases(n_max: int, rng: random.Random) -> list[TheoremCase]:
+    cases: list[TheoremCase] = []
+    for n in range(3, n_max + 1):
         bounds = predicted_bounds_functigraph(n)
         if n == 3:
             fg = build_functigraph(path_graph(3), identity_map(3))
-            bounds_cases.append(
-                TheoremCase(
+            cases.append(
+                _exact(
                     "bounds-sharp-low",
                     n,
                     "base=path3 map=identity",
                     bounds.lower,
-                    bounds.lower,
                     fg.graph,
-                    anchor="identity on the 3-path attains the floor",
+                    "identity on the 3-path attains the floor",
                 )
             )
         fg = build_functigraph(star_graph(n), constant_map(n, 0))
-        bounds_cases.append(
-            TheoremCase(
+        cases.append(
+            _exact(
                 "bounds-sharp-high",
                 n,
                 f"base=star{n} map=constant:0",
                 bounds.upper,
-                bounds.upper,
                 fg.graph,
-                anchor="stars with a constant map onto the center attain 2n-2",
+                "stars with a constant map onto the center attain 2n-2",
             )
         )
         if n <= 4:
@@ -449,7 +461,7 @@ def verify_suite(
             edges = _edge_str(base)
             for fmap, map_str in zip(maps, map_strs):
                 fg = build_functigraph(base, fmap)
-                bounds_cases.append(
+                cases.append(
                     TheoremCase(
                         "bounds-range",
                         n,
@@ -459,40 +471,37 @@ def verify_suite(
                         fg.graph,
                     )
                 )
+    return cases
 
-    gap_cases: list[TheoremCase] = []
-    if cfg.include_gap_lemma:
-        for t in range(2, cfg.t_max + 1):
-            g = pendant_gap_graph(t)
-            gap_cases.append(
-                TheoremCase("gap-base", g.n, f"t={t}", t, t, g, anchor="base value is t")
+
+def _gap_cases(t_max: int) -> list[TheoremCase]:
+    cases: list[TheoremCase] = []
+    for t in range(2, t_max + 1):
+        g = pendant_gap_graph(t)
+        cases.append(_exact("gap-base", g.n, f"t={t}", t, g, "base value is t"))
+        fg = build_functigraph(g, constant_map(g.n, 0))
+        cases.append(
+            _exact(
+                "gap-functigraph",
+                g.n,
+                f"t={t} map=constant:0",
+                2 * t,
+                fg.graph,
+                "functigraph value doubles to 2t",
             )
-            fg = build_functigraph(g, constant_map(g.n, 0))
-            gap_cases.append(
-                TheoremCase(
-                    "gap-functigraph",
-                    g.n,
-                    f"t={t} map=constant:0",
-                    2 * t,
-                    2 * t,
-                    fg.graph,
-                    anchor="functigraph value doubles to 2t",
-                )
-            )
+        )
+    return cases
 
-    all_cases = complete_cases + base_cases + hi_cases + bounds_cases + gap_cases
-    solved = _solve_all(all_cases, workers)
-    rows = [_row(case, result) for case, result in zip(all_cases, solved)]
 
-    head = len(complete_cases) + len(base_cases)
-    complete_rows = rows[: len(complete_cases)]
-    base_lambda = {
-        case.n: row.computed
-        for case, row in zip(base_cases, rows[len(complete_cases) : head])
-    }
-
+def _derived_rows(
+    sigs: list[tuple[int, Signature]], complete_rows: list[CaseRow]
+) -> list[CaseRow]:
+    """Matching-count and base-equality rows for the signature rows of
+    ``complete_rows``, which pair up with ``sigs``; the base value is read off
+    the ``complete-base`` rows."""
+    base_lambda = {r.n: r.computed for r in complete_rows if r.case_id == "complete-base"}
     derived: list[CaseRow] = []
-    for (n, sig), row in zip(complete_meta, complete_rows):
+    for (n, sig), row in zip(sigs, complete_rows):
         if n < 4:
             continue
         k = sig.num_parts
@@ -529,9 +538,7 @@ def verify_suite(
                 anchor="base and functigraph values agree exactly at image size n-1",
             )
         )
-
-    ordered = rows[:head] + derived + rows[head:]
-    return Report(ordered)
+    return derived
 
 
 def _complete_anchor(n: int, sig: Signature) -> str:

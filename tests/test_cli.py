@@ -230,6 +230,17 @@ class TestVerify:
         assert rows[0][0] == "case_id"
         assert "total:" in err
 
+    def test_csv_and_json_both_on_stdout_exit_two(self, capsys, monkeypatch):
+        # stdout could carry only one of the two formats
+        def no_build(*args):
+            raise AssertionError("a case was built before the output check")
+
+        monkeypatch.setattr("locdom.theorems.build_functigraph", no_build)
+        code, out, err = run(capsys, ["verify", "--csv", "-", "--json", "-"])
+        assert code == 2
+        assert out == ""
+        assert "error:" in err
+
     def test_mismatch_exit_code(self, capsys, monkeypatch):
         from locdom.theorems import CaseRow, Report
 

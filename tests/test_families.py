@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 
@@ -14,8 +15,8 @@ from locdom.families import (
     h_graph,
     identity_map,
     make_family,
-    make_map,
     nonisomorphic_connected_graphs,
+    parse_map,
     path_graph,
     pendant_gap_graph,
     permutation_map,
@@ -152,15 +153,30 @@ class TestMaps:
         with pytest.raises(ValueError):
             signature_map((2, -1))
 
-    def test_make_map(self):
-        assert make_map("constant", n=3, target=1) == constant_map(3, 1)
-        assert make_map("identity", n=3) == identity_map(3)
-        assert make_map("permutation", perm=[1, 0]) == permutation_map([1, 0])
-        assert make_map("signature", n=5, parts=(3, 2)) == signature_map((3, 2))
-        with pytest.raises(ValueError):
-            make_map("signature", n=6, parts=(3, 2))
-        with pytest.raises(ValueError):
-            make_map("affine", n=3)
+    def test_parse_map(self):
+        assert parse_map("constant:1", 3) == constant_map(3, 1)
+        assert parse_map("identity", 3) == identity_map(3)
+        assert parse_map("perm:1,0", 2) == permutation_map([1, 0])
+        assert parse_map("permutation:2,0,1", 3) == permutation_map([2, 0, 1])
+        assert parse_map("signature:3,2", 5) == signature_map((3, 2))
+
+    @pytest.mark.parametrize(
+        "spec, n, message",
+        [
+            ("signature:3,2", 6, "signature parts must sum to 6"),
+            ("affine:1", 3, "unknown map kind 'affine'"),
+            ("affine", 3, "bad map spec 'affine'"),
+            ("constant:9", 3, "constant target 9 out of range"),
+            ("constant:x", 3, "bad constant target 'x'"),
+            ("perm:0,1", 3, "permutation has 2 entries, base order is 3"),
+            ("perm:0,0,1", 3, "targets do not form a permutation"),
+            ("signature:2,2", 3, "signature parts must sum to 3"),
+            ("signature:1,a", 2, "bad integer list '1,a'"),
+        ],
+    )
+    def test_parse_map_rejects(self, spec, n, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            parse_map(spec, n)
 
     def test_random_map_signature_roundtrip(self):
         rng = random.Random(2)

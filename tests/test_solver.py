@@ -349,6 +349,9 @@ class TestLambdaExact:
             if n == 14:
                 # without the refuted-subproblem table this takes 68,324 nodes
                 assert res.stats.sets_tested < 10_000
+        res = lambda_exact(build_functigraph(complete_graph(16), identity_map(16)).graph)
+        # 5,045 nodes when the table key also held the allowed vertices
+        assert res.stats.sets_tested < 4_000
 
     @settings(max_examples=150, deadline=None)
     @given(st.data())

@@ -1,11 +1,20 @@
 import csv
+import hashlib
 import io
 import json
 
 import pytest
 
 from locdom import theorems
-from locdom.families import complete_graph, constant_map, h_graph, path_graph, signatures
+from locdom.families import (
+    complete_graph,
+    constant_map,
+    h_graph,
+    make_family,
+    parse_map,
+    path_graph,
+    signatures,
+)
 from locdom.functigraph import Signature, build_functigraph
 from locdom.solver import lambda_exact
 from locdom.theorems import (
@@ -141,6 +150,18 @@ class TestPredictedBounds:
         with pytest.raises(ValueError):
             predicted_bounds_functigraph(2)
 
+    @pytest.mark.parametrize("n", range(3, 9))
+    def test_witnesses_attain_their_ends(self, n):
+        # built from their spec form, the way a caller outside verify would
+        bounds = predicted_bounds_functigraph(n)
+        for (spec, map_spec), end in (
+            (bounds.lower_witness, bounds.lower),
+            (bounds.upper_witness, bounds.upper),
+        ):
+            base = make_family(spec)
+            fg = build_functigraph(base, parse_map(map_spec, base.n))
+            assert lambda_exact(fg.graph).lambda_ == end
+
 
 SMALL_CONFIG = VerifyConfig(
     n_max_complete=5, n_max_hi=5, n_max_bounds=3, include_gap_lemma=True, t_max=2
@@ -162,6 +183,19 @@ class TestVerifySuite:
         # derived rows: signatures of n in {4, 5} with image size < n
         assert sections["matching"] == (10, 10)
         assert sections["equality"] == (10, 10)
+
+    def test_default_rows_are_pinned(self):
+        # every field but millis of the default sweep; a new digest means the
+        # rows, their order or their witnesses changed
+        rows = verify_suite().rows
+        key = [
+            (r.case_id, r.n, r.params, r.predicted, r.computed, r.match, r.witness, r.anchor)
+            for r in rows
+        ]
+        assert len(rows) == 10_330
+        assert hashlib.sha256(repr(key).encode()).hexdigest() == (
+            "cb465e0b40e30e8ee16549cd17285d0e93a74d21ee58b0f972d0982b6cce68d0"
+        )
 
     def test_rows_carry_witnesses(self):
         report = verify_suite(SMALL_CONFIG)
