@@ -17,24 +17,29 @@ chosen by the order n alone:
   precomputed size layers. ``stats.sets_tested`` is ``2**n`` and
   ``use_twin_pruning`` changes nothing.
 * larger n: branch and bound. A pair row whose ends have no common neighbor
-  contains ``N[u]``, so it is implied and left out. Each search node
-  branches on its smallest unhit row and fails once a greedy packing of
+  contains ``N[u]``, so it is implied and left out. The rows are numbered
+  by size, then by value, so a node's unhit rows are one integer over row
+  numbers and a pick removes the rows holding it with one AND. Each search
+  node branches on its first unhit row and fails once a greedy packing of
   pairwise disjoint unhit rows needs more picks than are left; with one
   pick left, that pick must lie in every unhit row. A node that branches
   and finds nothing is remembered in a table of refuted subproblems, keyed
   by its unhit rows alone, so a later node with the same rows and no more
   picks left fails at once. The table lives for one call and is cleared
-  whenever the row references it holds would pass ``REFUTED_BUDGET``. The
-  same search then turns the first hit into the lexicographically least
-  one, one vertex at a time (see ``_lambda_search``).
+  whenever its estimated size would pass ``REFUTED_BUDGET`` bytes. The
+  search probes the start bound first; on a miss it takes a greedy upper
+  bound and walks down from it until a size fails. The same search then
+  turns the hit into the lexicographically least one, one vertex at a time
+  (see ``_lambda_search``).
 
-Both try sizes upward from the larger of two sound lower bounds, and the
-first size with a hit is the value:
+Both start from the larger of two sound lower bounds, reported as
+``stats.pruned_cardinalities_skipped``:
 
 * counting: the outside vertices need pairwise distinct nonempty subsets of
   L, so ``order - size <= 2**size - 1`` must hold for any hit;
-* twins: a pair row equal to ``{u, v}`` marks twins u < v. Swapping twins is
-  an automorphism, so the lexicographically least solution of each size
+* twins: u < v are twins when ``N(u) = N(v)`` or ``N[u] = N[v]``, which is
+  when their pair row is just ``{u, v}``. Swapping twins is an
+  automorphism, so the lexicographically least solution of each size
   contains every such u; that forced twin core may seed the search.
 
 ``lambda_oracle`` is the trust anchor: a plain unpruned enumeration of all
@@ -45,7 +50,6 @@ real search.
 from __future__ import annotations
 
 import time
-from bisect import insort
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -62,10 +66,10 @@ _CHUNK = 6
 _LOW = (1 << _CHUNK) - 1
 # order -> subset tables of ``_tables``, built on first use
 _TABLES: dict[int, tuple[list[int], list[int], list[int]]] = {}
-# row references the refuted-subproblem table of one ``lambda_exact`` call may
-# hold, 8 bytes each plus a key tuple and a dict slot per entry; the table is
-# cleared when the next entry would pass this
-REFUTED_BUDGET = 1 << 20
+# bytes the refuted-subproblem table of one ``lambda_exact`` call may hold. An
+# entry is counted as 88 bytes for its dict slot and int header plus one byte
+# per 8 bits of its key; the table is cleared when the next entry would pass this
+REFUTED_BUDGET = 1 << 23
 
 
 @dataclass(frozen=True)
@@ -237,131 +241,186 @@ def _lambda_table(g: Graph) -> SolveResult:
 def _lambda_search(g: Graph, use_twin_pruning: bool = True) -> SolveResult:
     """Branch and bound over the hitting-set model, for graphs of any order.
 
-    The search core ``hit(unhit, allowed, left)`` returns some set of at most
-    ``left`` vertices from ``allowed`` that hits every row in ``unhit``, or
-    None. Rows are sorted by size. In one pass over them a node fails when a
-    row has no allowed vertex or when a greedy packing of the rows' allowed
-    parts needs more than ``left`` disjoint parts; otherwise it branches on
-    the first row, lowest vertex first, and drops each vertex from
-    ``allowed`` once its branch fails. A node with one pick left returns the
-    lowest allowed vertex that lies in every row, which is the first leaf
-    that branching would find. The value is the first size, upward from the
-    lower bound, at which ``hit`` succeeds.
+    Rows are sorted by size, then by value, and numbered in that order. A set
+    of rows is an int with bit i for row i, and ``covers[v]`` is the set of
+    rows holding v. The search core ``hit(unhit, allowed, left)`` returns
+    some set of at most ``left`` vertices from ``allowed`` that hits every
+    row in ``unhit``, or None. A node first packs greedily: it takes the
+    allowed part of the first remaining row and drops every row that meets
+    it, and fails on a row with no allowed vertex or once it needs more than
+    ``left`` parts. Otherwise it branches on its first row, lowest vertex
+    first, the child's rows being ``unhit & ~covers[v]``, and drops each
+    vertex from ``allowed`` once its branch fails. A node with one pick left
+    returns the lowest allowed vertex of its first row that lies in every
+    row, which is the first leaf that branching would find.
 
-    A node with more than two picks left that passes the packing pass looks
-    up ``tuple(unhit)`` in a table of refuted subproblems shared by both
-    phases. An entry of at least ``left`` means no hit exists. A node whose
-    branches all fail stores ``left`` under its rows. The rows alone are a
-    sound key. Say a node X with rows U fails, and a later node Y with rows U
-    and no more picks left has a hit S. Nothing in S was dropped before the
-    paths to X and Y part: within one root ``allowed`` only shrinks as the
-    walk goes on, and a later root's ``allowed`` never grows, because the λ
-    roots share one set and the extraction roots only grow ``fixed`` and
-    ``cursor``. So a vertex of S missing from X's ``allowed`` was dropped on
-    the path down to X, after its branch at some node W failed. Take the
-    first such drop, of v at W: S plus the picks from W down to X hits W's
-    rows, holds v, lies inside what W allowed when it tried v, and needs no
-    more picks than W had. So v's branch had a hit and did not truly fail.
-    By induction over the order in which nodes fail, every failure, and so
-    every skip, is a true one. Both phases therefore visit their successful
-    branches in the same order and return the same sets as without the
-    table. The table is cleared when the row references it holds would
-    pass ``REFUTED_BUDGET``.
+    The value comes from roots that all allow every vertex outside
+    ``fixed``. The first probes the start bound. If that misses, a greedy set
+    (the vertex in the most unhit rows, the lowest on ties, until every row
+    is hit) bounds the value from above, and each further root asks for one
+    pick fewer than the best hit so far, until one fails or the next size
+    is the refuted start bound.
 
     Equal-size sets are ordered by the smallest element of their symmetric
-    difference, so the witness is walked down with the same core: with
+    difference, so the witness is walked down with the same core. With
     ``low`` the lowest free vertex of the current witness and ``cursor`` one
-    past the last fixed pick, ``hit`` gets one extra row ``[cursor, low)``
-    and only vertices from ``cursor`` up. A hit is a smaller witness and
-    replaces it; a miss fixes ``low`` as the next pick.
+    past the last fixed pick, an extraction root allows the vertices from
+    ``cursor`` up and branches like a node on the vertices of
+    ``[cursor, low)``. A hit there is a smaller witness and replaces it; when
+    every branch misses, ``low`` becomes the next fixed pick.
 
-    ``use_twin_pruning`` fixes the forced twin core before either phase.
-    ``stats.sets_tested`` counts ``hit`` nodes over both phases, including
-    those the refuted-subproblem table answers.
+    A node with more than two picks left that passes the packing looks up
+    its ``unhit`` in a table of refuted subproblems shared by all roots. An
+    entry of at least ``left`` means no hit exists. A node whose branches
+    all fail stores ``left`` under its rows. The rows alone are a sound key.
+    Say a node X with rows U fails, and a later node Y with rows U and no
+    more picks left has a hit S. No root allows a vertex that an earlier
+    root did not: the start probe and the downward roots share one
+    ``allowed``, and an extraction root allows the vertices outside
+    ``fixed`` from ``cursor`` up, where ``fixed`` and ``cursor`` only grow.
+    So S lies inside what X's root allowed, and a vertex of S missing from
+    X's ``allowed`` was dropped on the path down to X, after its branch
+    failed at some node or extraction root W. Take the first such drop, of
+    v at W: S plus the picks from W down to X hits W's rows, holds v, lies
+    inside what W allowed when it tried v, and needs no more picks than W
+    had. So v's branch had a hit and did not truly fail. By induction
+    over the order in which nodes fail, every failure, and so every skip, is
+    a true one. The search therefore visits its successful branches in the
+    same order and returns the same sets as without the table. The table is
+    cleared when its estimated size would pass ``REFUTED_BUDGET`` bytes.
+
+    ``use_twin_pruning`` fixes the forced twin core before any root, and the
+    rows it hits are never built. ``stats.sets_tested`` counts ``hit``
+    nodes over all roots, including those the refuted-subproblem table
+    answers.
     """
     started = time.perf_counter()
     n = g.n
     adj = g.adj
     full = (1 << n) - 1
-    rows = {adj[v] | 1 << v for v in range(n)}
+    # u < v are twins when N(u) = N(v) or N[u] = N[v]; the core is every
+    # vertex with a twin above it. No N(u) equals an N[v]: v in N[v] = N(u)
+    # would put u in N[v] = N(u). So both kinds of key share one table
     core = 0
-    for u in range(n):
-        for v in range(u + 1, n):
-            pair = 1 << u | 1 << v
-            row = pair | adj[u] ^ adj[v]
-            if row == pair:
-                core |= 1 << u
-            # without a common neighbor the row contains N[u], so it is implied
-            if adj[u] & adj[v]:
-                rows.add(row)
+    last: dict[int, int] = {}
+    for v, a in enumerate(adj):
+        bit = 1 << v
+        core |= last.get(a, 0) | last.get(a | bit, 0)
+        last[a] = last[a | bit] = bit
     start = max(info_lower_bound(n), core.bit_count())
     fixed = core if use_twin_pruning else 0
-    unhit = sorted([r for r in rows if not r & fixed], key=int.bit_count)
+    # rows the fixed vertices already hit are left out
+    unfixed = [(adj[v], 1 << v) for v in range(n) if not fixed >> v & 1]
+    rows = {a | bit for a, bit in unfixed if not a & fixed}
+    add = rows.add
+    for i, (au, bu) in enumerate(unfixed):
+        for av, bv in unfixed[i + 1:]:
+            # without a common neighbor the row contains N[u], so it is implied
+            if au & av:
+                row = bu | bv | au ^ av
+                if not row & fixed:
+                    add(row)
+    rows = sorted(rows)
+    rows.sort(key=int.bit_count)
+    # covers[v] marks the rows holding v, as bits over row indices. With a
+    # bit above vertex n - 1, every row's bin() string has width n + 3, so
+    # joined last row first, every (n + 3)-th character from 2 + n - v reads
+    # vertex v of row i at bit i
+    width = n + 3
+    table = "".join(map(bin, map((1 << n).__or__, reversed(rows)))) or "0" * width
+    covers = [int(table[j::width], 2) for j in range(width - 1, 2, -1)]
     nodes = 0
     # unhit rows -> most picks known not to suffice
-    refuted: dict[tuple[int, ...], int] = {}
+    refuted: dict[int, int] = {}
     stored = 0
 
-    def hit(unhit: list[int], allowed: int, left: int) -> int | None:
+    def hit(unhit: int, allowed: int, left: int) -> int | None:
         nonlocal nodes, stored
         nodes += 1
         if not unhit:
             return 0
+        first = rows[(unhit & -unhit).bit_length() - 1] & allowed
         if left == 1:
             # the one pick left has to lie in every row
-            common = allowed
-            for r in unhit:
-                common &= r
-            return common & -common or None
-        used = packed = 0
-        for r in unhit:
-            part = r & allowed
-            if not part:
+            while first:
+                bit = first & -first
+                if not unhit & ~covers[bit.bit_length() - 1]:
+                    return bit
+                first ^= bit
+            return None
+        rest = unhit
+        packed = 0
+        while rest:
+            part = rows[(rest & -rest).bit_length() - 1] & allowed
+            if not part or packed == left:
                 return None
-            if not part & used:
-                if packed == left:
-                    return None
-                used |= part
-                packed += 1
-        if left > 2:
-            key = tuple(unhit)
-            if refuted.get(key, 0) >= left:
-                return None
-        # the first row is always packed, and it is the smallest
-        branch = unhit[0] & allowed
+            packed += 1
+            # the rows meeting this part cannot be packed beside it
+            while part:
+                bit = part & -part
+                part ^= bit
+                rest &= ~covers[bit.bit_length() - 1]
+        if left > 2 and refuted.get(unhit, 0) >= left:
+            return None
+        branch = first
         while branch:
             bit = branch & -branch
             branch ^= bit
-            found = hit([r for r in unhit if not r & bit], allowed, left - 1)
+            found = hit(unhit & ~covers[bit.bit_length() - 1], allowed, left - 1)
             if found is not None:
                 return found | bit
             allowed &= ~bit
         if left > 2:
-            stored += len(unhit)
+            cost = 88 + unhit.bit_length() // 8
+            stored += cost
             if stored > REFUTED_BUDGET:
                 refuted.clear()
-                stored = len(unhit)
-            refuted[key] = left
+                stored = cost
+            refuted[unhit] = left
         return None
 
-    size = start
-    while (found := hit(unhit, full & ~fixed, size - fixed.bit_count())) is None:
-        size += 1
+    unhit = (1 << len(rows)) - 1
+    allowed = full & ~fixed
+    floor = start - fixed.bit_count()
+    found = hit(unhit, allowed, floor)
+    if found is None:
+        # greedy upper bound: the vertex in the most unhit rows, the lowest
+        # on ties, until every row is hit
+        found = 0
+        rest = unhit
+        while rest:
+            counts = [(rest & c).bit_count() for c in covers]
+            v = counts.index(max(counts))
+            found |= 1 << v
+            rest &= ~covers[v]
+        # walk down while one pick fewer still hits; the probe refuted floor
+        while (picks := found.bit_count() - 1) > floor and (
+            smaller := hit(unhit, allowed, picks)
+        ) is not None:
+            found = smaller
     witness = fixed | found
+    size = witness.bit_count()
+    left = size - fixed.bit_count()
     cursor = 0
     while free := witness & ~fixed:
         low = free & -free
         allowed = full & ~fixed & -(1 << cursor)
-        found = None
-        if below := (low - 1) & allowed:
-            narrowed = [r for r in unhit if not r & fixed]
-            insort(narrowed, below, key=int.bit_count)
-            found = hit(narrowed, allowed, size - fixed.bit_count())
-        if found is None:
-            fixed |= low
-            cursor = low.bit_length()
+        below = (low - 1) & allowed
+        # a hit holding a vertex of [cursor, low) is a lex-lesser witness
+        while below:
+            bit = below & -below
+            below ^= bit
+            found = hit(unhit & ~covers[bit.bit_length() - 1], allowed, left - 1)
+            if found is not None:
+                witness = fixed | found | bit
+                break
+            allowed &= ~bit
         else:
-            witness = fixed | found
+            # no such hit, so the lex-least witness holds low
+            fixed |= low
+            unhit &= ~covers[low.bit_length() - 1]
+            cursor = low.bit_length()
+            left -= 1
     # hit reaches itself through its closure cell; breaking that cycle frees
     # it now rather than at a later cyclic collection, so thousands of small
     # solves do not leave closures behind to fragment the heap

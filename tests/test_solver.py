@@ -1,3 +1,4 @@
+import hashlib
 import random
 from itertools import combinations
 
@@ -5,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from locdom import solver
 from locdom.families import (
     complete_graph,
     constant_map,
@@ -97,6 +99,30 @@ def small_graphs(draw):
     edges |= {(main + 2 * i, main + 2 * i + 1) for i in range(k2)}
     g = Graph.from_edges(n, sorted(edges))
     return permute_graph(g, draw(st.permutations(range(n))))
+
+
+@st.composite
+def mid_graphs(draw):
+    """Graphs with 11 <= n <= 14 of any density."""
+    n = draw(st.integers(11, 14))
+    pairs = list(combinations(range(n), 2))
+    edges = draw(st.sets(st.sampled_from(pairs)))
+    if draw(st.booleans()):
+        edges = set(pairs) - edges
+    return Graph.from_edges(n, sorted(edges))
+
+
+def pinned_graphs():
+    """Graphs of order 13 to 40, most past what the oracle checks in tier-1 time."""
+    rng = random.Random(61)
+    graphs = [cycle_graph(n) for n in (13, 17, 22, 29, 35, 40)]
+    graphs += [path_graph(n) for n in (14, 19, 26, 33, 40)]
+    graphs += [build_functigraph(complete_graph(n), identity_map(n)).graph
+               for n in (7, 9, 12, 15, 18, 20)]
+    graphs += [build_functigraph(path_graph(n), identity_map(n)).graph for n in (7, 9, 11, 13, 15)]
+    graphs += [random_graph(rng, rng.randint(13, 40), rng.uniform(0.08, 0.6)) for _ in range(10)]
+    graphs += [random_connected_graph(rng, rng.randint(13, 40)) for _ in range(8)]
+    return graphs
 
 
 # lambda_exact runs the table pass up to TABLE_MAX_ORDER; the search core is
@@ -342,16 +368,62 @@ class TestLambdaExact:
 
     def test_larger_values(self):
         assert lambda_exact(cycle_graph(30)).lambda_ == 12
-        for n in (14, 18):
-            fg = build_functigraph(complete_graph(n), identity_map(n))
-            res = lambda_exact(fg.graph)
+        for n in (14, 18, 20, 24, 32):
+            g = build_functigraph(complete_graph(n), identity_map(n)).graph
+            res = lambda_exact(g)
             assert res.lambda_ == predicted_lambda_complete(n, Signature((1,) * n))
+            assert len(res.witness) == res.lambda_
+            assert is_locating_dominating(g, res.witness)
             if n == 14:
                 # without the refuted-subproblem table this takes 68,324 nodes
                 assert res.stats.sets_tested < 10_000
+        # Slater's value for both is ceil(2n / 5)
+        for g in (cycle_graph(60), path_graph(60)):
+            res = lambda_exact(g)
+            assert res.lambda_ == 24
+            assert is_locating_dominating(g, res.witness)
         res = lambda_exact(build_functigraph(complete_graph(16), identity_map(16)).graph)
-        # 5,045 nodes when the table key also held the allowed vertices
-        assert res.stats.sets_tested < 4_000
+        # 2,762 nodes when the size loop climbed from the start bound
+        assert res.stats.sets_tested < 1_000
+        # 13,696 nodes when the size loop climbed from the start bound
+        assert lambda_exact(cycle_graph(40)).stats.sets_tested < 2_000
+
+    def test_cleared_refuted_table_keeps_answers(self, monkeypatch):
+        # 300 bytes hold about three entries, so the table is cleared many
+        # times per solve; at 2,000 it is cleared on K8 and K9 identity and
+        # C18 and answers enough lookups between clearings that a lookup
+        # skipping one pick too early changes a witness here
+        graphs = [build_functigraph(complete_graph(n), identity_map(n)).graph for n in (8, 9)]
+        graphs += [cycle_graph(n) for n in range(15, 19)]
+        references = [lambda_oracle(g) for g in graphs]
+        for budget in (300, 2_000):
+            monkeypatch.setattr(solver, "REFUTED_BUDGET", budget)
+            for g, reference in zip(graphs, references):
+                for solve in CORES:
+                    for pruning in (True, False):
+                        res = solve(g, use_twin_pruning=pruning)
+                        assert (res.lambda_, res.witness) == (reference.lambda_, reference.witness)
+
+    def test_search_answers_are_pinned(self):
+        # (value, witness, start bound) of graphs past the oracle's reach in
+        # tier-1 time, computed before the search core held its rows as
+        # bitsets; a new digest means an answer changed
+        key = [
+            (res.lambda_, res.witness.members, res.stats.pruned_cardinalities_skipped)
+            for res in map(lambda_exact, pinned_graphs())
+        ]
+        assert len(key) == 40
+        assert hashlib.sha256(repr(key).encode()).hexdigest() == (
+            "2e0062e56d11183a8138c2677974d00a95c2c4fd783d1ba3bec0198656e08f26"
+        )
+
+    @settings(max_examples=40, deadline=None)
+    @given(mid_graphs())
+    def test_search_against_oracle_past_the_table_gate(self, g):
+        reference = lambda_oracle(g)
+        for pruning in (True, False):
+            res = _lambda_search(g, use_twin_pruning=pruning)
+            assert (res.lambda_, res.witness) == (reference.lambda_, reference.witness)
 
     @settings(max_examples=150, deadline=None)
     @given(st.data())
