@@ -27,10 +27,10 @@ chosen by the order n alone:
   by its unhit rows alone, so a later node with the same rows and no more
   picks left fails at once. The table lives for one call and is cleared
   whenever its estimated size would pass ``REFUTED_BUDGET`` bytes. The
-  search probes the start bound first; on a miss it takes a greedy upper
-  bound and walks down from it until a size fails. The same search then
-  turns the hit into the lexicographically least one, one vertex at a time
-  (see ``_lambda_search``).
+  search takes a greedy upper bound and walks down from it until a size
+  fails or the start bound is reached. The same search then turns the hit
+  into the lexicographically least one, deciding the vertices in index
+  order (see ``_lambda_search``).
 
 Both start from the larger of two sound lower bounds, reported as
 ``stats.pruned_cardinalities_skipped``:
@@ -254,45 +254,43 @@ def _lambda_search(g: Graph, use_twin_pruning: bool = True) -> SolveResult:
     returns the lowest allowed vertex of its first row that lies in every
     row, which is the first leaf that branching would find.
 
-    The value comes from roots that all allow every vertex outside
-    ``fixed``. The first probes the start bound. If that misses, a greedy set
-    (the vertex in the most unhit rows, the lowest on ties, until every row
-    is hit) bounds the value from above, and each further root asks for one
-    pick fewer than the best hit so far, until one fails or the next size
-    is the refuted start bound.
+    A greedy set (the vertex in the most unhit rows, the lowest on ties,
+    until every row is hit) bounds the value from above. Each λ root then
+    asks for one pick fewer than the best hit so far, until one fails or
+    the next size would fall below the start bound.
 
     Equal-size sets are ordered by the smallest element of their symmetric
-    difference, so the witness is walked down with the same core. With
-    ``low`` the lowest free vertex of the current witness and ``cursor`` one
-    past the last fixed pick, an extraction root allows the vertices from
-    ``cursor`` up and branches like a node on the vertices of
-    ``[cursor, low)``. A hit there is a smaller witness and replaces it; when
-    every branch misses, ``low`` becomes the next fixed pick.
+    difference, so the witness is walked down with the same core. Vertices
+    are decided in index order, and a decided vertex leaves ``allowed``
+    for good. A vertex of the current witness is fixed. Any other vertex v
+    gets one extraction root, ``hit(unhit & ~covers[v], allowed, left - 1)``:
+    a hit holds v and is a lex-lesser witness, so it replaces the witness
+    and v is fixed; a miss drops v. The walk ends once every pick is fixed.
 
     A node with more than two picks left that passes the packing looks up
     its ``unhit`` in a table of refuted subproblems shared by all roots. An
     entry of at least ``left`` means no hit exists. A node whose branches
     all fail stores ``left`` under its rows. The rows alone are a sound key.
     Say a node X with rows U fails, and a later node Y with rows U and no
-    more picks left has a hit S. No root allows a vertex that an earlier
-    root did not: the start probe and the downward roots share one
-    ``allowed``, and an extraction root allows the vertices outside
-    ``fixed`` from ``cursor`` up, where ``fixed`` and ``cursor`` only grow.
-    So S lies inside what X's root allowed, and a vertex of S missing from
-    X's ``allowed`` was dropped on the path down to X, after its branch
-    failed at some node or extraction root W. Take the first such drop, of
-    v at W: S plus the picks from W down to X hits W's rows, holds v, lies
-    inside what W allowed when it tried v, and needs no more picks than W
-    had. So v's branch had a hit and did not truly fail. By induction
-    over the order in which nodes fail, every failure, and so every skip, is
-    a true one. The search therefore visits its successful branches in the
-    same order and returns the same sets as without the table. The table is
-    cleared when its estimated size would pass ``REFUTED_BUDGET`` bytes.
+    more picks left has a hit S. Every root is passed the one ``allowed``,
+    which only shrinks from root to root, so S lies inside what X's root
+    allowed, and a vertex of S missing from X's ``allowed`` was dropped on
+    the path down to X, after its branch failed at some node W. Take the
+    first such drop, of v at W: S plus the picks from W down to X hits W's
+    rows, holds v, lies inside what W allowed when it tried v, and needs no
+    more picks than W had. So v's branch had a hit and did not truly fail.
+    By induction over the order in which nodes fail, every failure, and so
+    every skip, is a true one. The search therefore visits its successful
+    branches in the same order and returns the same sets as without the
+    table. The table is cleared when its estimated size would pass
+    ``REFUTED_BUDGET`` bytes.
 
     ``use_twin_pruning`` fixes the forced twin core before any root, and the
     rows it hits are never built. ``stats.sets_tested`` counts ``hit``
     nodes over all roots, including those the refuted-subproblem table
-    answers.
+    answers. It is 0 when the greedy set already has the start size and
+    holds the lowest vertices outside the fixed core, as when the core hits
+    every row.
     """
     started = time.perf_counter()
     n = g.n
@@ -379,48 +377,42 @@ def _lambda_search(g: Graph, use_twin_pruning: bool = True) -> SolveResult:
             refuted[unhit] = left
         return None
 
-    unhit = (1 << len(rows)) - 1
+    # greedy upper bound: the vertex in the most unhit rows, the lowest on
+    # ties, until every row is hit
+    found = 0
+    rest = unhit = (1 << len(rows)) - 1
+    while rest:
+        counts = [(rest & c).bit_count() for c in covers]
+        v = counts.index(max(counts))
+        found |= 1 << v
+        rest &= ~covers[v]
+    # walk down while one pick fewer still hits; no hit is below the start
     allowed = full & ~fixed
     floor = start - fixed.bit_count()
-    found = hit(unhit, allowed, floor)
-    if found is None:
-        # greedy upper bound: the vertex in the most unhit rows, the lowest
-        # on ties, until every row is hit
-        found = 0
-        rest = unhit
-        while rest:
-            counts = [(rest & c).bit_count() for c in covers]
-            v = counts.index(max(counts))
-            found |= 1 << v
-            rest &= ~covers[v]
-        # walk down while one pick fewer still hits; the probe refuted floor
-        while (picks := found.bit_count() - 1) > floor and (
-            smaller := hit(unhit, allowed, picks)
-        ) is not None:
-            found = smaller
+    while (picks := found.bit_count() - 1) >= floor and (
+        smaller := hit(unhit, allowed, picks)
+    ) is not None:
+        found = smaller
     witness = fixed | found
     size = witness.bit_count()
-    left = size - fixed.bit_count()
-    cursor = 0
-    while free := witness & ~fixed:
-        low = free & -free
-        allowed = full & ~fixed & -(1 << cursor)
-        below = (low - 1) & allowed
-        # a hit holding a vertex of [cursor, low) is a lex-lesser witness
-        while below:
-            bit = below & -below
-            below ^= bit
-            found = hit(unhit & ~covers[bit.bit_length() - 1], allowed, left - 1)
-            if found is not None:
-                witness = fixed | found | bit
-                break
-            allowed &= ~bit
-        else:
-            # no such hit, so the lex-least witness holds low
-            fixed |= low
-            unhit &= ~covers[low.bit_length() - 1]
-            cursor = low.bit_length()
-            left -= 1
+    left = found.bit_count()
+    for v in range(n):
+        if not left:
+            break
+        bit = 1 << v
+        if not allowed & bit:
+            continue
+        # v is decided here, so no later root allows it
+        allowed ^= bit
+        if not witness & bit:
+            # a hit holding v is a lex-lesser witness
+            found = hit(unhit & ~covers[v], allowed, left - 1)
+            if found is None:
+                continue
+            witness = fixed | bit | found
+        fixed |= bit
+        unhit &= ~covers[v]
+        left -= 1
     # hit reaches itself through its closure cell; breaking that cycle frees
     # it now rather than at a later cyclic collection, so thousands of small
     # solves do not leave closures behind to fragment the heap

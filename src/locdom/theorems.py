@@ -50,6 +50,24 @@ def _check_signature(n: int, sig: Signature) -> None:
         raise ValueError(f"signature {sig.parts} does not sum to {n}")
 
 
+def _complete_regime(n: int, sig: Signature) -> tuple[str, int, str]:
+    """(case id, predicted value, anchor) of the functigraph of the complete
+    graph on n vertices under any map with preimage signature ``sig``."""
+    _check_signature(n, sig)
+    k = sig.num_parts
+    if k == 1:
+        value = 2 if n == 2 else 2 * n - 3
+        return "complete-constant", value, "constant maps: 2 at n=2, else 2n-3"
+    if k == n:
+        value = n if n <= 3 else n - 1
+        return "complete-bijective", value, "bijections: n at n<=3, else n-1"
+    case_id = "complete-mid-nomatch" if sig.num_unit_parts == 0 else "complete-mid-match"
+    if n == 3:
+        # the only mid-range signature of 3 is (2, 1), which carries a matching
+        return case_id, 2 * n - k - 1, "mid range at n=3: 2n-k-1"
+    return case_id, 2 * n - k - 2, "mid range: 2n-k-2"
+
+
 def predicted_lambda_complete(n: int, sig: Signature) -> int:
     """Predicted value for the functigraph of the complete graph on n >= 2
     vertices, for any map with preimage signature ``sig``.
@@ -65,26 +83,25 @@ def predicted_lambda_complete(n: int, sig: Signature) -> int:
     """
     if n < 2:
         raise ValueError("complete-graph predictions need n >= 2")
-    _check_signature(n, sig)
-    k = sig.num_parts
-    if k == 1:
-        return 2 if n == 2 else 2 * n - 3
-    if k == n:
-        return n if n <= 3 else n - 1
-    if n == 3:
-        # the only mid-range signature of 3 is (2, 1), which carries a matching
-        return 2 * n - k - 1
-    return 2 * n - k - 2
+    return _complete_regime(n, sig)[1]
 
 
 def complete_case_id(n: int, sig: Signature) -> str:
-    _check_signature(n, sig)
-    k = sig.num_parts
-    if k == 1:
-        return "complete-constant"
-    if k == n:
-        return "complete-bijective"
-    return "complete-mid-nomatch" if sig.num_unit_parts == 0 else "complete-mid-match"
+    return _complete_regime(n, sig)[0]
+
+
+def _hi_regime(n: int, i: int, v_kind: str) -> tuple[str, int]:
+    """(case id, predicted value) of the functigraph of ``h_graph(n, i)``
+    under a constant map whose image vertex is of kind ``v_kind``."""
+    if n == 4:
+        return "hgraph-small", 4
+    if i <= n // 2 - 1:
+        if v_kind == SATURATED:
+            return "hgraph-saturated", 2 * n - 2 * i - 3
+        return "hgraph-twin-pair", 2 * n - 2 * i - 2
+    if n % 2 == 0:
+        return "hgraph-even-half", n - 1
+    return "hgraph-odd-half", 2 * (n // 2)
 
 
 def predicted_lambda_hi(n: int, i: int, v_kind: str) -> int:
@@ -107,19 +124,11 @@ def predicted_lambda_hi(n: int, i: int, v_kind: str) -> int:
         raise ValueError(f"need 1 <= i <= floor(n/2), got i={i}")
     if v_kind == SATURATED and n <= 2 * i:
         raise ValueError("no saturated vertices remain when i = n/2")
-    if n == 4:
-        return 4
-    if i <= n // 2 - 1:
-        return 2 * n - 2 * i - 3 if v_kind == SATURATED else 2 * n - 2 * i - 2
-    return n - 1 if n % 2 == 0 else 2 * (n // 2)
+    return _hi_regime(n, i, v_kind)[1]
 
 
 def hi_case_id(n: int, i: int, v_kind: str) -> str:
-    if n == 4:
-        return "hgraph-small"
-    if i <= n // 2 - 1:
-        return "hgraph-saturated" if v_kind == SATURATED else "hgraph-twin-pair"
-    return "hgraph-even-half" if n % 2 == 0 else "hgraph-odd-half"
+    return _hi_regime(n, i, v_kind)[0]
 
 
 def hi_target_kind(n: int, i: int, target: int) -> str:
@@ -378,17 +387,11 @@ def _complete_cases(n_max: int) -> tuple[list[tuple[int, Signature]], list[Theor
     ``complete-base`` cases from n = 4; ``sigs`` lists the (n, sig) of each
     signature case, in case order."""
     sigs = [(n, sig) for n in range(2, n_max + 1) for sig in signatures(n)]
-    cases = [
-        _exact(
-            complete_case_id(n, sig),
-            n,
-            f"sig={_sig_str(sig)}",
-            predicted_lambda_complete(n, sig),
-            build_functigraph(complete_graph(n), signature_map(sig.parts)).graph,
-            _complete_anchor(n, sig),
-        )
-        for n, sig in sigs
-    ]
+    cases: list[TheoremCase] = []
+    for n, sig in sigs:
+        case_id, value, anchor = _complete_regime(n, sig)
+        fg = build_functigraph(complete_graph(n), signature_map(sig.parts))
+        cases.append(_exact(case_id, n, f"sig={_sig_str(sig)}", value, fg.graph, anchor))
     cases += [
         _exact(
             "complete-base",
@@ -411,14 +414,9 @@ def _hi_cases(n_max: int) -> list[TheoremCase]:
             for kind in kinds:
                 target = 0 if kind == TWIN_PAIR else 2 * i
                 fg = build_functigraph(h_graph(n, i), constant_map(n, target))
+                case_id, value = _hi_regime(n, i, kind)
                 cases.append(
-                    _exact(
-                        hi_case_id(n, i, kind),
-                        n,
-                        f"i={i} target={target} kind={kind}",
-                        predicted_lambda_hi(n, i, kind),
-                        fg.graph,
-                    )
+                    _exact(case_id, n, f"i={i} target={target} kind={kind}", value, fg.graph)
                 )
     return cases
 
@@ -539,14 +537,3 @@ def _derived_rows(
             )
         )
     return derived
-
-
-def _complete_anchor(n: int, sig: Signature) -> str:
-    k = sig.num_parts
-    if k == 1:
-        return "constant maps: 2 at n=2, else 2n-3"
-    if k == n:
-        return "bijections: n at n<=3, else n-1"
-    if n == 3:
-        return "mid range at n=3: 2n-k-1"
-    return "mid range: 2n-k-2"
