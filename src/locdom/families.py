@@ -258,27 +258,39 @@ def nonisomorphic_connected_graphs(n: int) -> list[Graph]:
 
     The representative is the class's first graph in :func:`all_graphs` order.
     Edge masks are walked in that order; an unmarked mask opens a new class,
-    and its whole orbit under the n! relabelings is then marked, so no other
-    member of the class is ever built.
+    and its whole orbit is then marked, so no other member of the class is
+    ever built. The transposition of vertices 0 and 1 and the cycle
+    v -> v + 1 (mod n) generate every relabeling, so the orbit is what a walk
+    from the new mask reaches through the two, each read off a table that
+    maps every edge mask to its image.
     """
     pairs = _labeled_pairs(n)
     index = {pair: j for j, pair in enumerate(pairs)}
-    # image_bits[k][j]: the mask bit that edge j moves to under relabeling k
-    image_bits = [
-        [1 << index[min(p[a], p[b]), max(p[a], p[b])] for a, b in pairs]
-        for p in permutations(range(n))
-    ]
+    tables = []
+    for perm in ([1, 0, *range(2, n)], [*range(1, n), 0]):
+        # the masks whose highest edge is j are those below it plus that edge
+        table = [0]
+        for a, b in pairs:
+            image = 1 << index[min(perm[a], perm[b]), max(perm[a], perm[b])]
+            table += [t | image for t in table]
+        tables.append(table)
     marked = bytearray(1 << len(pairs))
     out: list[Graph] = []
     for mask in range(len(marked)):
         if marked[mask]:
             continue
-        edges = list(bits(mask))
-        g = Graph.from_edges(n, [pairs[j] for j in edges])
+        g = Graph.from_edges(n, [pairs[j] for j in bits(mask)])
         if is_connected(g):
             out.append(g)
-        for image in image_bits:
-            marked[sum(image[j] for j in edges)] = 1
+        marked[mask] = 1
+        stack = [mask]
+        while stack:
+            m = stack.pop()
+            for table in tables:
+                image = table[m]
+                if not marked[image]:
+                    marked[image] = 1
+                    stack.append(image)
     return out
 
 

@@ -114,6 +114,28 @@ class Graph:
         check_order(self.n)
         if len(self.adj) != self.n:
             raise ValueError("adjacency length does not match the order")
+        adj = self.adj
+        full = (1 << self.n) - 1
+        ends = mirrored = 0
+        for u, row in enumerate(adj):
+            if row < 0 or row & ~full or row >> u & 1:
+                break
+            ends += row.bit_count()
+            # each edge is checked once, from its lower end
+            row >>= u
+            while row:
+                low = row & -row
+                row ^= low
+                mirrored += adj[u + low.bit_length() - 1] >> u & 1
+        else:
+            # the mirrored entries above the diagonal have as many mirrors
+            # below it, so the count holds only when those are all entries
+            if ends == 2 * mirrored:
+                return
+        self._reject()
+
+    def _reject(self) -> None:
+        """Raise ``ValueError`` naming the first fault of ``adj`` in row order."""
         full = (1 << self.n) - 1
         for u, row in enumerate(self.adj):
             if row < 0 or row & ~full:
@@ -223,12 +245,14 @@ def twin_partition(g: Graph) -> TwinPartition:
 
 def is_connected(g: Graph) -> bool:
     """True when the graph has a single connected component (order 1 counts)."""
-    seen = 1
-    frontier = 1
+    adj = g.adj
+    seen = frontier = 1
     while frontier:
         grown = 0
-        for v in bits(frontier):
-            grown |= g.adj[v]
+        while frontier:
+            low = frontier & -frontier
+            frontier ^= low
+            grown |= adj[low.bit_length() - 1]
         frontier = grown & ~seen
         seen |= frontier
     return seen == (1 << g.n) - 1

@@ -12,9 +12,10 @@ chosen by the order n alone:
 
 * n <= ``TABLE_MAX_ORDER``: a table pass decides all ``2**n`` subsets at
   once. It holds them as the bits of one integer and ANDs in, row by row,
-  the subsets that hit the row, read off precomputed per-order tables. The
-  value and the lexicographically least witness are then read off
-  precomputed size layers. ``stats.sets_tested`` is ``2**n`` and
+  the subsets that hit the row, read with one lookup from a precomputed
+  per-order table indexed by the row itself. The value and the
+  lexicographically least witness are then read off precomputed size
+  layers. ``stats.sets_tested`` is ``2**n`` and
   ``use_twin_pruning`` changes nothing.
 * larger n: branch and bound. A pair row whose ends have no common neighbor
   contains ``N[u]``, so it is implied and left out. The rows are numbered
@@ -60,12 +61,8 @@ from .graph import twin_partition  # noqa: F401
 ORACLE_MAX_ORDER = 24
 # largest order that ``lambda_exact`` decides by one pass over all subsets
 TABLE_MAX_ORDER = 12
-# a constraint row indexes the subset tables in two chunks of this many
-# vertices, which covers every order up to TABLE_MAX_ORDER
-_CHUNK = 6
-_LOW = (1 << _CHUNK) - 1
 # order -> subset tables of ``_tables``, built on first use
-_TABLES: dict[int, tuple[list[int], list[int], list[int]]] = {}
+_TABLES: dict[int, tuple[list[int], list[int]]] = {}
 # bytes the refuted-subproblem table of one ``lambda_exact`` call may hold. An
 # entry is counted as 88 bytes for its dict slot and int header plus one byte
 # per 8 bits of its key; the table is cleared when the next entry would pass this
@@ -164,30 +161,26 @@ def lambda_exact(
     return _lambda_search(g, use_twin_pruning)
 
 
-def _tables(n: int) -> tuple[list[int], list[int], list[int]]:
+def _tables(n: int) -> tuple[list[int], list[int]]:
     """Subset tables of order ``n`` for ``_lambda_table``, built on first use.
 
-    Each table is a ``2**n``-bit integer whose bit p stands for the set that
-    holds vertex v iff bit ``n - 1 - v`` of p is set. ``lo[k]`` and ``hi[k]``
-    mark the sets that meet vertex set ``k`` and ``k << _CHUNK``, so the sets
-    hitting row r are ``lo[r & _LOW] | hi[r >> _CHUNK]``; ``layers[s]`` marks
-    the sets of size s.
+    Each table entry is a ``2**n``-bit integer whose bit p stands for the set
+    that holds vertex v iff bit ``n - 1 - v`` of p is set. ``hits[k]`` marks
+    the sets that meet vertex set ``k``, so a constraint row r is one lookup,
+    ``hits[r]``; ``layers[s]`` marks the sets of size s. At order 12 ``hits``
+    takes about 2.4 MB.
     """
     tables = _TABLES.get(n)
     if tables is None:
         ones = (1 << (1 << n)) - 1
-        # holding[v]: the sets holding v, that is the positions p with bit
-        # j = n - 1 - v set, the upper 2**j of every 2 * 2**j positions
-        holding = [0] * (2 * _CHUNK)
+        # the vertex sets with highest vertex v are those below it plus v, and
+        # the sets holding v are the positions p with bit j = n - 1 - v set,
+        # the upper 2**j of every 2 * 2**j positions
+        hits = [0]
         for v in range(n):
             run = 1 << n - 1 - v
-            holding[v] = ones // ((1 << 2 * run) - 1) * ((1 << run) - 1 << run)
-        lo = [0] * (1 << _CHUNK)
-        hi = [0] * (1 << _CHUNK)
-        for k in range(1, 1 << _CHUNK):
-            v = (k & -k).bit_length() - 1
-            lo[k] = lo[k & k - 1] | holding[v]
-            hi[k] = hi[k & k - 1] | holding[v + _CHUNK]
+            holding = ones // ((1 << 2 * run) - 1) * ((1 << run) - 1 << run)
+            hits += [h | holding for h in hits]
         # positions below 2**(m + 1) of popcount s: those below 2**m, and
         # those of popcount s - 1 shifted up by 2**m
         layers = [1]
@@ -196,7 +189,7 @@ def _tables(n: int) -> tuple[list[int], list[int], list[int]]:
                 (layers[s] if s <= m else 0) | (layers[s - 1] << (1 << m) if s else 0)
                 for s in range(m + 2)
             ]
-        tables = _TABLES[n] = (lo, hi, layers)
+        tables = _TABLES[n] = (hits, layers)
     return tables
 
 
@@ -215,11 +208,10 @@ def _lambda_table(g: Graph) -> SolveResult:
     started = time.perf_counter()
     n = g.n
     adj = g.adj
-    lo, hi, layers = _tables(n)
+    hits, layers = _tables(n)
     ok = -1
     for v in range(n):
-        row = adj[v] | 1 << v
-        ok &= lo[row & _LOW] | hi[row >> _CHUNK]
+        ok &= hits[adj[v] | 1 << v]
     core = 0
     for u in range(n):
         au = adj[u]
@@ -228,7 +220,7 @@ def _lambda_table(g: Graph) -> SolveResult:
             row = pair | au ^ adj[v]
             if row == pair:
                 core |= 1 << u
-            ok &= lo[row & _LOW] | hi[row >> _CHUNK]
+            ok &= hits[row]
     start = max(info_lower_bound(n), core.bit_count())
     size = start
     while not (found := ok & layers[size]):

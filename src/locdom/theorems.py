@@ -20,7 +20,8 @@ import csv
 import random
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from typing import IO
+from itertools import chain
+from typing import IO, Iterable, Iterator
 
 from .families import (
     FamilySpec,
@@ -311,16 +312,22 @@ def _solve_case(case: TheoremCase) -> tuple[int, tuple[int, ...], float]:
     return result.lambda_, result.witness.members, result.stats.elapsed * 1000.0
 
 
-def _solve_all(
-    cases: list[TheoremCase], workers: int
-) -> list[tuple[int, tuple[int, ...], float]]:
-    # a fork-started pool launches every worker at the first submit
-    workers = min(workers, len(cases))
+def _solved_rows(cases: Iterable[TheoremCase], workers: int) -> list[CaseRow]:
+    """One row per case, in case order.
+
+    With one worker each case is built, solved and turned into its row in
+    turn, so no case outlives its row. A pool needs every case up front.
+    """
     if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            chunk = max(1, len(cases) // (workers * 8))
-            return list(pool.map(_solve_case, cases, chunksize=chunk))
-    return [_solve_case(case) for case in cases]
+        cases = list(cases)
+        # a fork-started pool launches every worker at the first submit
+        workers = min(workers, len(cases))
+        if workers > 1:
+            with ProcessPoolExecutor(max_workers=workers) as pool:
+                chunk = max(1, len(cases) // (workers * 8))
+                solved = pool.map(_solve_case, cases, chunksize=chunk)
+                return [_row(case, result) for case, result in zip(cases, solved)]
+    return [_row(case, _solve_case(case)) for case in cases]
 
 
 def _row(case: TheoremCase, solved: tuple[int, tuple[int, ...], float]) -> CaseRow:
@@ -367,11 +374,13 @@ def verify_suite(
     """
     cfg = config or VerifyConfig()
     sigs, complete = _complete_cases(cfg.n_max_complete)
-    cases = complete + _hi_cases(cfg.n_max_hi)
-    cases += _bounds_cases(cfg.n_max_bounds, random.Random(sample_seed))
-    if cfg.include_gap_lemma:
-        cases += _gap_cases(cfg.t_max)
-    rows = [_row(case, solved) for case, solved in zip(cases, _solve_all(cases, workers))]
+    cases = chain(
+        complete,
+        _hi_cases(cfg.n_max_hi),
+        _bounds_cases(cfg.n_max_bounds, random.Random(sample_seed)),
+        _gap_cases(cfg.t_max) if cfg.include_gap_lemma else (),
+    )
+    rows = _solved_rows(cases, workers)
     head = rows[: len(complete)]
     return Report(head + _derived_rows(sigs, head) + rows[len(complete) :])
 
@@ -421,32 +430,27 @@ def _hi_cases(n_max: int) -> list[TheoremCase]:
     return cases
 
 
-def _bounds_cases(n_max: int, rng: random.Random) -> list[TheoremCase]:
-    cases: list[TheoremCase] = []
+def _bounds_cases(n_max: int, rng: random.Random) -> Iterator[TheoremCase]:
     for n in range(3, n_max + 1):
         bounds = predicted_bounds_functigraph(n)
         if n == 3:
             fg = build_functigraph(path_graph(3), identity_map(3))
-            cases.append(
-                _exact(
-                    "bounds-sharp-low",
-                    n,
-                    "base=path3 map=identity",
-                    bounds.lower,
-                    fg.graph,
-                    "identity on the 3-path attains the floor",
-                )
+            yield _exact(
+                "bounds-sharp-low",
+                n,
+                "base=path3 map=identity",
+                bounds.lower,
+                fg.graph,
+                "identity on the 3-path attains the floor",
             )
         fg = build_functigraph(star_graph(n), constant_map(n, 0))
-        cases.append(
-            _exact(
-                "bounds-sharp-high",
-                n,
-                f"base=star{n} map=constant:0",
-                bounds.upper,
-                fg.graph,
-                "stars with a constant map onto the center attain 2n-2",
-            )
+        yield _exact(
+            "bounds-sharp-high",
+            n,
+            f"base=star{n} map=constant:0",
+            bounds.upper,
+            fg.graph,
+            "stars with a constant map onto the center attain 2n-2",
         )
         if n <= 4:
             bases = [g for g in all_graphs(n) if is_connected(g)]
@@ -459,17 +463,14 @@ def _bounds_cases(n_max: int, rng: random.Random) -> list[TheoremCase]:
             edges = _edge_str(base)
             for fmap, map_str in zip(maps, map_strs):
                 fg = build_functigraph(base, fmap)
-                cases.append(
-                    TheoremCase(
-                        "bounds-range",
-                        n,
-                        f"edges={edges} map={map_str}",
-                        bounds.lower,
-                        bounds.upper,
-                        fg.graph,
-                    )
+                yield TheoremCase(
+                    "bounds-range",
+                    n,
+                    f"edges={edges} map={map_str}",
+                    bounds.lower,
+                    bounds.upper,
+                    fg.graph,
                 )
-    return cases
 
 
 def _gap_cases(t_max: int) -> list[TheoremCase]:

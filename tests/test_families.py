@@ -1,3 +1,4 @@
+import hashlib
 import random
 import re
 
@@ -231,6 +232,14 @@ class TestEnumeration:
         representatives = nonisomorphic_connected_graphs(6)
         assert len({canonical_form(g) for g in representatives}) == len(representatives) == 112
         assert all(is_connected(g) for g in representatives)
+        # the representatives and their order, which the verify rows follow
+        pinned = {
+            5: "7ea70d6e7b74845a9ac2c8c6ca79e22477533205569c3ffdbd1542c1786bc328",
+            6: "989294f9b1d8c87b14ccb7463936f3939099d7a557f7a11c13a72814623eae37",
+        }
+        for n, digest in pinned.items():
+            adj = [g.adj for g in nonisomorphic_connected_graphs(n)]
+            assert hashlib.sha256(repr(adj).encode()).hexdigest() == digest
         for n in (0, 7):
             with pytest.raises(ValueError):
                 nonisomorphic_connected_graphs(n)

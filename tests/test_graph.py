@@ -50,6 +50,38 @@ def twin_kind(g, u, v):
     return None
 
 
+def first_fault(n, adj):
+    """Message of the first range, self-loop or asymmetry fault in row order."""
+    for u, row in enumerate(adj):
+        if not 0 <= row < 1 << n:
+            return f"neighbors of vertex {u} out of range"
+        if row >> u & 1:
+            return f"self-loop at vertex {u}"
+    for u in range(n):
+        for v in range(n):
+            if adj[u] >> v & 1 and not adj[v] >> u & 1:
+                return f"asymmetric adjacency between {u} and {v}"
+    return None
+
+
+@st.composite
+def hostile_rows(draw):
+    """Arbitrary rows, or a symmetric graph with a few entries flipped."""
+    n = draw(st.integers(1, 10))
+    row = st.integers(-1, (1 << n + 1) - 1)
+    if draw(st.booleans()):
+        return n, tuple(draw(st.lists(row, min_size=n, max_size=n)))
+    pair = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+    adj = [0] * n
+    for u, v in draw(st.sets(pair)):
+        if u != v:
+            adj[u] |= 1 << v
+            adj[v] |= 1 << u
+    for u, v in draw(st.lists(pair, max_size=3)):
+        adj[u] ^= 1 << v
+    return n, tuple(adj)
+
+
 def small_graph_corpus():
     graphs = []
     for n in range(1, 5):
@@ -144,6 +176,18 @@ class TestGraphConstruction:
         # visible only from the higher vertex's row
         with pytest.raises(ValueError, match="between 2 and 0"):
             Graph(3, (0b010, 0b101, 0b011))
+
+    @settings(max_examples=400, deadline=None)
+    @given(hostile_rows())
+    def test_rejects_exactly_the_faulty_rows(self, case):
+        n, adj = case
+        fault = first_fault(n, adj)
+        if fault is None:
+            assert Graph(n, adj).adj == adj
+        else:
+            with pytest.raises(ValueError) as caught:
+                Graph(n, adj)
+            assert str(caught.value) == fault
 
 
 class TestNeighborhood:

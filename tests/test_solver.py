@@ -516,17 +516,27 @@ class TestTablePass:
                 assert answer(_lambda_search(g, use_twin_pruning=pruning)) == table
 
     def test_tables_match_brute_force(self):
-        for n in range(1, 9):
-            lo, hi, layers = _tables(n)
+        def sets_of(n):
             # position p stands for the set holding v iff bit n - 1 - v of p is set
-            sets = [sum(1 << v for v in range(n) if p >> (n - 1 - v) & 1) for p in range(1 << n)]
+            return [sum(1 << v for v in range(n) if p >> (n - 1 - v) & 1) for p in range(1 << n)]
+
+        def meeting(sets, k):
+            return sum(1 << p for p, m in enumerate(sets) if m & k)
+
+        for n in range(1, 9):
+            hits, layers = _tables(n)
+            sets = sets_of(n)
             assert layers == [
                 sum(1 << p for p, m in enumerate(sets) if m.bit_count() == size)
                 for size in range(n + 1)
             ]
-            for k in range(64):
-                assert lo[k] == sum(1 << p for p, m in enumerate(sets) if m & k)
-                assert hi[k] == sum(1 << p for p, m in enumerate(sets) if m & k << 6)
+            assert len(hits) == 1 << n
+            for k in range(1 << n):
+                assert hits[k] == meeting(sets, k)
+        hits, _ = _tables(TABLE_MAX_ORDER)
+        sets = sets_of(TABLE_MAX_ORDER)
+        for k in random.Random(12).sample(range(1 << TABLE_MAX_ORDER), 300):
+            assert hits[k] == meeting(sets, k)
 
 
 class TestLambdaOracle:

@@ -2,6 +2,7 @@ import csv
 import hashlib
 import io
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -281,9 +282,18 @@ class TestVerifySuite:
             theorems.TheoremCase("demo", n, "", 1, n, g)
             for n, g in ((3, complete_graph(3)), (4, path_graph(4)), (5, complete_graph(5)))
         ]
-        solved = theorems._solve_all(cases, 100_000)
+
+        def strip(rows):
+            return [replace(r, millis=0.0) for r in rows]
+
+        rows = theorems._solved_rows(iter(cases), 100_000)
         assert made == [3]
-        assert [s[:2] for s in solved] == [s[:2] for s in theorems._solve_all(cases, 1)]
+        assert strip(rows) == strip(theorems._solved_rows(iter(cases), 1))
         assert made == [3]
-        theorems._solve_all(cases[:1], 100_000)
+        theorems._solved_rows(iter(cases[:1]), 100_000)
         assert made == [3]
+        # the pool gets the streamed cases whole, read once
+        config = VerifyConfig(4, 4, 3, True, 2)
+        pooled = verify_suite(config, workers=4).rows
+        assert made == [3, 4]
+        assert strip(pooled) == strip(verify_suite(config, workers=1).rows)
