@@ -11,7 +11,13 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 
-from .graph import Graph, graph_from_json_dict, graph_to_json_dict, is_connected
+from .graph import (
+    Graph,
+    check_order,
+    graph_from_json_dict,
+    graph_to_json_dict,
+    is_connected,
+)
 
 CONSTANT = "constant"
 BIJECTIVE = "bijective"
@@ -27,6 +33,9 @@ class FunctionMap:
     targets: tuple[int, ...]
 
     def __post_init__(self) -> None:
+        if type(self.targets) is not tuple:
+            # a private copy, so no later change to the caller's list reaches it
+            object.__setattr__(self, "targets", tuple(self.targets))
         if self.n < 1:
             raise ValueError("base order must be at least 1")
         if len(self.targets) != self.n:
@@ -109,20 +118,27 @@ def build_functigraph(base: Graph, fmap: FunctionMap) -> Functigraph:
     The result always has 2n vertices and 2|E| + n edges: cross edges run
     between the copies, so they can never coincide with a copy edge or with
     each other.
+
+    The result is not validated again: it is valid by construction. Each of
+    its rows is a row of the validated ``base`` or that row shifted by n,
+    plus cross edges, and each cross edge (u, n + f(u)) with 0 <= f(u) < n
+    is set in both of its rows. So every row is in range, has no self-loop
+    and is mirrored once ``base`` and ``fmap`` have passed their own checks.
+    Only the order 2n is checked here, since ``base`` may have up to
+    ``MAX_ORDER`` vertices.
     """
     if fmap.n != base.n:
         raise ValueError("map length does not match the base order")
     if not is_connected(base):
         raise ValueError("functigraph construction requires a connected base graph")
     n = base.n
-    adj = [0] * (2 * n)
-    for u in range(n):
-        adj[u] = base.adj[u]
-        adj[n + u] = base.adj[u] << n
+    check_order(2 * n)
+    adj = list(base.adj)
+    adj += [row << n for row in base.adj]
     for u, t in enumerate(fmap.targets):
         adj[u] |= 1 << (n + t)
         adj[n + t] |= 1 << u
-    return Functigraph(Graph(2 * n, tuple(adj)), base, fmap)
+    return Functigraph(Graph._trusted(2 * n, tuple(adj)), base, fmap)
 
 
 def preimage_signature(fmap: FunctionMap) -> Signature:

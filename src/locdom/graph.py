@@ -111,6 +111,9 @@ class Graph:
     adj: tuple[int, ...]
 
     def __post_init__(self) -> None:
+        if type(self.adj) is not tuple:
+            # a private copy, so no later change to the caller's list reaches it
+            object.__setattr__(self, "adj", tuple(self.adj))
         check_order(self.n)
         if len(self.adj) != self.n:
             raise ValueError("adjacency length does not match the order")
@@ -151,6 +154,20 @@ class Graph:
                 v = low.bit_length() - 1
                 if not adj[v] >> u & 1:
                     raise ValueError(f"asymmetric adjacency between {u} and {v}")
+
+    @classmethod
+    def _trusted(cls, n: int, adj: tuple[int, ...]) -> "Graph":
+        """Wrap rows without validating them.
+
+        The caller guarantees what ``__post_init__`` would check: ``adj`` is a
+        tuple of ``n`` rows, ``1 <= n <= MAX_ORDER``, every row lies in
+        ``[0, 2**n)``, no row has its own bit set, and ``v`` is in row ``u``
+        exactly when ``u`` is in row ``v``.
+        """
+        g = object.__new__(cls)
+        object.__setattr__(g, "n", n)
+        object.__setattr__(g, "adj", adj)
+        return g
 
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> "Graph":

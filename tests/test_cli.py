@@ -7,11 +7,14 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import locdom
 from locdom.cli import main
 from locdom.families import complete_graph, path_graph, star_graph
-from locdom.graph import graph_from_json_dict, graph_to_json_dict
+from locdom.functigraph import functigraph_from_json_dict
+from locdom.graph import Graph, graph_from_edge_text, graph_from_json_dict, graph_to_json_dict
 
 
 def run(capsys, argv, stdin=None, monkeypatch=None):
@@ -21,6 +24,48 @@ def run(capsys, argv, stdin=None, monkeypatch=None):
     code = main(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+# outside input for the readers: JSON-shaped values, and graph and functigraph
+# documents that are valid apart from at most one stray entry
+json_leaves = (
+    st.none() | st.booleans() | st.integers(-2, 140) | st.floats() | st.text(max_size=2)
+)
+json_values = st.recursive(
+    json_leaves,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.sampled_from(["n", "edges", "base", "map", ""]), inner, max_size=4),
+    max_leaves=6,
+)
+stray = st.lists(json_leaves | st.lists(st.integers(-1, 8), max_size=3), max_size=1)
+
+
+@st.composite
+def near_graphs(draw):
+    n = draw(st.integers(1, 6))
+    pairs = [[u, v] for u in range(n) for v in range(u + 1, n)]
+    edges = draw(st.lists(st.sampled_from(pairs), unique_by=tuple)) if pairs else []
+    return {"n": n, "edges": edges + draw(stray)}
+
+
+@st.composite
+def near_functigraphs(draw):
+    base = draw(near_graphs())
+    n = base["n"]
+    targets = draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n))
+    return {"base": base, "map": targets + draw(stray)}
+
+
+hostile_json = json_values | near_graphs() | near_functigraphs()
+hostile_text = st.text() | st.text(alphabet="0123456789 -#\n\t{}", max_size=60)
+
+
+def read_or_reject(reader, value):
+    """The reader's graph, or None when it rejects ``value`` with ValueError."""
+    try:
+        return reader(value)
+    except ValueError:
+        return None
 
 
 def write(tmp_path, name, text):
@@ -162,10 +207,64 @@ class TestLambda:
             code, _, _ = run(capsys, ["lambda", "--graph", path, "--map", spec])
             assert code == 2
 
+    @pytest.mark.parametrize(
+        "argv, stdin",
+        [
+            (["lambda", "--map", "identity"], "0 1\n2 3\n"),
+            (
+                ["lambda"],
+                json.dumps({"base": {"n": 4, "edges": [[0, 1], [2, 3]]}, "map": [0] * 4}),
+            ),
+            (["lambda"], json.dumps({"base": graph_to_json_dict(path_graph(3)), "map": [0, 1]})),
+            # a functigraph of a 65-vertex base would have order 130
+            (["lambda", "--map", "identity"], "".join(f"{v} {v + 1}\n" for v in range(64))),
+        ],
+        ids=["map-on-disconnected-base", "json-disconnected-base", "json-short-map",
+             "map-above-max-order"],
+    )
+    def test_functigraph_inputs_rejected(self, capsys, monkeypatch, argv, stdin):
+        code, out, err = run(capsys, argv, stdin=stdin, monkeypatch=monkeypatch)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ")
+
     def test_unknown_flag_usage_exit(self, capsys):
         with pytest.raises(SystemExit) as info:
             main(["lambda", "--bogus"])
         assert info.value.code == 2
+
+
+def twins_on_stdin(text):
+    """Exit code and stderr of ``locdom twins`` reading ``text`` on stdin.
+
+    Hypothesis cannot share function-scoped fixtures across examples, so the
+    streams are swapped here.
+    """
+    saved = sys.stdin, sys.stdout, sys.stderr
+    sys.stdin, sys.stdout, sys.stderr = io.StringIO(text), io.StringIO(), io.StringIO()
+    try:
+        return main(["twins"]), sys.stderr.getvalue()
+    finally:
+        sys.stdin, sys.stdout, sys.stderr = saved
+
+
+class TestHostileInput:
+    @settings(max_examples=300, deadline=None)
+    @given(hostile_json, hostile_text, st.booleans())
+    def test_rejected_or_valid(self, data, text, pipe_json):
+        for reader, value in (
+            (graph_from_json_dict, data),
+            (graph_from_edge_text, text),
+        ):
+            g = read_or_reject(reader, value)
+            assert g is None or Graph(g.n, g.adj) == g
+        fg = read_or_reject(functigraph_from_json_dict, data)
+        if fg is not None:
+            assert Graph(fg.graph.n, fg.graph.adj) == fg.graph
+            assert fg.graph.n == 2 * fg.base.n
+        code, err = twins_on_stdin(json.dumps(data) if pipe_json else text)
+        assert code in (0, 2)
+        assert (code == 2) == err.startswith("error: ")
 
 
 class TestOracle:

@@ -3,8 +3,10 @@ import random
 import pytest
 
 from locdom.families import (
+    all_maps,
     canonical_form,
     complete_graph,
+    connected_graphs,
     constant_map,
     cycle_graph,
     identity_map,
@@ -27,7 +29,14 @@ from locdom.functigraph import (
     functigraph_to_json_dict,
     preimage_signature,
 )
-from locdom.graph import ADJACENT_TWINS, Graph, bits, is_connected, twin_partition
+from locdom.graph import (
+    ADJACENT_TWINS,
+    MAX_ORDER,
+    Graph,
+    bits,
+    is_connected,
+    twin_partition,
+)
 
 
 class TestFunctionMap:
@@ -38,6 +47,15 @@ class TestFunctionMap:
             FunctionMap(3, (0, 1, 3))
         with pytest.raises(ValueError):
             FunctionMap(0, ())
+
+    def test_keeps_a_private_copy_of_list_targets(self):
+        targets = [0, 1, 2]
+        fmap = FunctionMap(3, targets)
+        targets[2] = -1  # the cross edge of 2 would end at 3 - 1 = 2, a self-loop
+        assert fmap == identity_map(3)
+        assert hash(fmap) == hash(identity_map(3))
+        fg = build_functigraph(path_graph(3), fmap)
+        assert Graph(fg.graph.n, fg.graph.adj) == fg.graph
 
     def test_image(self):
         f = FunctionMap(4, (2, 2, 0, 2))
@@ -100,6 +118,46 @@ class TestBuild:
         base = Graph.from_edges(4, [(0, 1), (2, 3)])
         with pytest.raises(ValueError):
             build_functigraph(base, identity_map(4))
+
+    def test_base_order_above_half_max_order_rejected(self):
+        build_functigraph(path_graph(MAX_ORDER // 2), identity_map(MAX_ORDER // 2))
+        with pytest.raises(ValueError, match="order must be in"):
+            build_functigraph(
+                path_graph(MAX_ORDER // 2 + 1), identity_map(MAX_ORDER // 2 + 1)
+            )
+
+    def test_unvalidated_build_equals_validated(self):
+        # the result skips validation; validating its rows must change nothing
+        cases = [
+            (base, fmap)
+            for n in range(1, 5)
+            for base in connected_graphs(n)
+            for fmap in all_maps(n)
+        ]
+        rng = random.Random(11)
+        for _ in range(200):
+            n = rng.randint(1, 12)
+            fmap = FunctionMap(n, tuple(rng.randrange(n) for _ in range(n)))
+            cases.append((random_connected_graph(rng, n), fmap))
+        for base, fmap in cases:
+            g = build_functigraph(base, fmap).graph
+            assert Graph(g.n, g.adj) == g
+
+    def test_build_validates_nothing(self, monkeypatch):
+        base, fmap = star_graph(6), signature_map((3, 2, 1))
+        calls = []
+        validate = Graph.__post_init__
+
+        def counted(self):
+            calls.append(self.n)
+            validate(self)
+
+        monkeypatch.setattr(Graph, "__post_init__", counted)
+        Graph(base.n, base.adj)
+        assert calls == [6]
+        fg = build_functigraph(base, fmap)
+        assert calls == [6]
+        assert fg.graph.n == 12
 
     def test_counting_invariants_random(self):
         rng = random.Random(3)

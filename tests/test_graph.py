@@ -177,6 +177,18 @@ class TestGraphConstruction:
         with pytest.raises(ValueError, match="between 2 and 0"):
             Graph(3, (0b010, 0b101, 0b011))
 
+    def test_keeps_a_private_copy_of_list_rows(self):
+        rows = [0b010, 0b101, 0b010]
+        g = Graph(3, rows)
+        rows[2] = 0b100  # would be a self-loop
+        assert g.adj == (0b010, 0b101, 0b010)
+        assert g == path_graph(3)
+        assert hash(g) == hash(path_graph(3))
+
+    def test_keeps_a_tuple_as_given(self):
+        rows = (0b010, 0b101, 0b010)
+        assert Graph(3, rows).adj is rows
+
     @settings(max_examples=400, deadline=None)
     @given(hostile_rows())
     def test_rejects_exactly_the_faulty_rows(self, case):

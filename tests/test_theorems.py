@@ -11,12 +11,16 @@ from locdom.families import (
     complete_graph,
     constant_map,
     h_graph,
+    identity_map,
     make_family,
     parse_map,
     path_graph,
+    pendant_gap_graph,
+    signature_map,
     signatures,
 )
 from locdom.functigraph import Signature, build_functigraph
+from locdom.graph import Graph
 from locdom.solver import lambda_exact
 from locdom.theorems import (
     SATURATED,
@@ -162,6 +166,44 @@ class TestPredictedBounds:
             base = make_family(spec)
             fg = build_functigraph(base, parse_map(map_spec, base.n))
             assert lambda_exact(fg.graph).lambda_ == end
+
+
+class TestClosedFormsAtScale:
+    def test_functigraphs_up_to_max_order(self):
+        # (base, map, predicted value) for every family with a closed form,
+        # up to base order 64, where the functigraph reaches MAX_ORDER
+        cases = [
+            (complete_graph(n), signature_map(sig.parts), predicted_lambda_complete(n, sig))
+            for n in range(2, 15)
+            for sig in signatures(n)
+        ]
+        for n in (16, 24, 32, 48, 64):
+            for parts in ((n,), (2,) + (1,) * (n - 2), (2,) * (n // 2)):
+                sig = Signature(parts)
+                cases.append(
+                    (complete_graph(n), signature_map(parts), predicted_lambda_complete(n, sig))
+                )
+        # the identity map on K_64 alone would take about 0.7 s
+        for n in (16, 24, 32, 48):
+            sig = Signature((1,) * n)
+            cases.append((complete_graph(n), identity_map(n), predicted_lambda_complete(n, sig)))
+        for n in range(4, 31):
+            for i in range(1, n // 2 + 1):
+                # target 0 sits in a twin pair; target 2i, if any, stayed saturated
+                for target in (0, 2 * i) if 2 * i < n else (0,):
+                    kind = hi_target_kind(n, i, target)
+                    cases.append(
+                        (h_graph(n, i), constant_map(n, target), predicted_lambda_hi(n, i, kind))
+                    )
+        for t in range(2, 31):
+            g = pendant_gap_graph(t)
+            assert lambda_exact(g).lambda_ == t
+            cases.append((g, constant_map(g.n, 0), 2 * t))
+        assert len(cases) == 506 + 15 + 4 + 432 + 29
+        for base, fmap, value in cases:
+            g = build_functigraph(base, fmap).graph
+            assert Graph(g.n, g.adj) == g
+            assert lambda_exact(g).lambda_ == value, (base, fmap.targets)
 
 
 SMALL_CONFIG = VerifyConfig(
