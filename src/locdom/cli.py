@@ -4,16 +4,13 @@ and run the verification sweeps.
 Exit codes: 0 on success (and all rows matching for ``verify``), 1 when a
 verification sweep has mismatches, 2 on any input error. With ``--json`` or
 ``--csv``, stdout carries only the structured artifact; prose goes to stderr.
-At most one of them may write to stdout.
-The ``LD_THREADS`` environment variable caps the verify worker count
-(unset: sequential, 0: one worker per CPU; never more than the CPU count).
+At most one of them may write to stdout. ``verify`` runs in one process.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from typing import IO
 
@@ -137,19 +134,6 @@ def cmd_gen(args: argparse.Namespace) -> int:
     return 0
 
 
-def _worker_count() -> int:
-    raw = os.environ.get("LD_THREADS", "")
-    if raw == "":
-        return 1
-    count = int(raw)
-    if count < 0:
-        raise ValueError("LD_THREADS must be >= 0")
-    cpus = os.cpu_count() or 1
-    if count == 0:
-        return cpus
-    return min(count, cpus)
-
-
 def _print_summary(report: Report, stream: IO[str]) -> None:
     for section, (matched, total) in sorted(report.section_counts().items()):
         print(f"{section}: {matched}/{total}", file=stream)
@@ -173,7 +157,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         include_gap_lemma=not args.no_gap,
         t_max=args.gap_tmax,
     )
-    report = verify_suite(config, workers=_worker_count())
+    report = verify_suite(config)
     structured = args.csv is not None or args.json_out is not None
     _print_summary(report, sys.stderr if structured else sys.stdout)
     if args.csv is not None:

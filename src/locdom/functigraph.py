@@ -41,6 +41,8 @@ class FunctionMap:
         if len(self.targets) != self.n:
             raise ValueError("target list length must equal the base order")
         for u, t in enumerate(self.targets):
+            if not isinstance(t, int) or isinstance(t, bool):
+                raise ValueError(f"target of vertex {u} is not an integer")
             if not 0 <= t < self.n:
                 raise ValueError(f"target of vertex {u} out of range")
 
@@ -186,8 +188,6 @@ def functigraph_from_json_dict(data: object) -> Functigraph:
         raise ValueError('functigraph JSON needs "base" and "map" fields')
     base = graph_from_json_dict(data["base"])
     raw_map = data["map"]
-    if not isinstance(raw_map, list) or not all(
-        isinstance(t, int) and not isinstance(t, bool) for t in raw_map
-    ):
+    if not isinstance(raw_map, list):
         raise ValueError('"map" must be a list of integers')
     return build_functigraph(base, FunctionMap(base.n, tuple(raw_map)))

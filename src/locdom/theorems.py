@@ -18,10 +18,9 @@ from __future__ import annotations
 
 import csv
 import random
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from itertools import chain
-from typing import IO, Iterable, Iterator
+from typing import IO, Iterator
 
 from .families import (
     FamilySpec,
@@ -307,31 +306,9 @@ def _edge_str(g: Graph) -> str:
     return " ".join(f"{u}-{v}" for u, v in g.edges())
 
 
-def _solve_case(case: TheoremCase) -> tuple[int, tuple[int, ...], float]:
+def _row(case: TheoremCase) -> CaseRow:
     result = lambda_exact(case.graph)
-    return result.lambda_, result.witness.members, result.stats.elapsed * 1000.0
-
-
-def _solved_rows(cases: Iterable[TheoremCase], workers: int) -> list[CaseRow]:
-    """One row per case, in case order.
-
-    With one worker each case is built, solved and turned into its row in
-    turn, so no case outlives its row. A pool needs every case up front.
-    """
-    if workers > 1:
-        cases = list(cases)
-        # a fork-started pool launches every worker at the first submit
-        workers = min(workers, len(cases))
-        if workers > 1:
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                chunk = max(1, len(cases) // (workers * 8))
-                solved = pool.map(_solve_case, cases, chunksize=chunk)
-                return [_row(case, result) for case, result in zip(cases, solved)]
-    return [_row(case, _solve_case(case)) for case in cases]
-
-
-def _row(case: TheoremCase, solved: tuple[int, tuple[int, ...], float]) -> CaseRow:
-    computed, witness, millis = solved
+    computed = result.lambda_
     predicted = str(case.low) if case.low == case.high else f"{case.low}..{case.high}"
     return CaseRow(
         case.case_id,
@@ -340,8 +317,8 @@ def _row(case: TheoremCase, solved: tuple[int, tuple[int, ...], float]) -> CaseR
         predicted,
         computed,
         case.low <= computed <= case.high,
-        millis,
-        witness,
+        result.stats.elapsed * 1000.0,
+        result.witness.members,
         case.anchor,
     )
 
@@ -371,7 +348,17 @@ def verify_suite(
     the bounds sweep with its sharpness instances, and the gap construction.
     Bases of order up to 4 are swept with every map; larger bases use one
     representative per isomorphism class with a deterministic map sample.
+
+    The sweep runs in one process and solves the cases in order. The bounds
+    cases are streamed: each is built, solved and turned into its row in
+    turn, so none outlives its row. ``workers`` is kept only so that callers
+    passing ``workers=1`` (the benchmark's worker does) keep working; any
+    other value raises ``ValueError`` before a case is built.
     """
+    if workers != 1:
+        raise ValueError(
+            f"workers = {workers!r}: verify runs in one process, so only 1 is accepted"
+        )
     cfg = config or VerifyConfig()
     sigs, complete = _complete_cases(cfg.n_max_complete)
     cases = chain(
@@ -380,7 +367,7 @@ def verify_suite(
         _bounds_cases(cfg.n_max_bounds, random.Random(sample_seed)),
         _gap_cases(cfg.t_max) if cfg.include_gap_lemma else (),
     )
-    rows = _solved_rows(cases, workers)
+    rows = [_row(case) for case in cases]
     head = rows[: len(complete)]
     return Report(head + _derived_rows(sigs, head) + rows[len(complete) :])
 

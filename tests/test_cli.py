@@ -365,8 +365,8 @@ class TestVerify:
         assert out == ""
         assert "error:" in err
 
-    def test_ld_threads_env(self, capsys, monkeypatch):
-        monkeypatch.setenv("LD_THREADS", "2")
+    def test_ld_threads_is_not_read(self, capsys, monkeypatch):
+        monkeypatch.setenv("LD_THREADS", "nope")
         code, out, _ = run(
             capsys,
             ["verify", "--nmax-complete", "3", "--nmax-hi", "4",
@@ -374,27 +374,10 @@ class TestVerify:
         )
         assert code == 0
         assert "all match" in out
-        monkeypatch.setenv("LD_THREADS", "nope")
-        code, _, err = run(capsys, ["verify", "--nmax-complete", "3"])
-        assert code == 2
-
-    def test_ld_threads_capped_at_cpu_count(self, monkeypatch):
-        # only the count is computed here; no worker is started
-        from locdom.cli import _worker_count
-
-        monkeypatch.setenv("LD_THREADS", "100000")
-        assert _worker_count() == (os.cpu_count() or 1)
-        monkeypatch.setattr("locdom.cli.os.cpu_count", lambda: 4)
-        assert _worker_count() == 4
-        monkeypatch.setenv("LD_THREADS", "3")
-        assert _worker_count() == 3
-        monkeypatch.setattr("locdom.cli.os.cpu_count", lambda: None)
-        assert _worker_count() == 1
 
     @pytest.mark.parametrize("module", ["locdom", "locdom.cli"])
     def test_module_entry_point(self, module):
         env = dict(os.environ, PYTHONPATH=str(Path(locdom.__file__).parents[1]))
-        env.pop("LD_THREADS", None)
         proc = subprocess.run(
             [sys.executable, "-m", module, "verify", "--nmax-complete", "3",
              "--nmax-hi", "4", "--nmax-bounds", "3", "--no-gap"],
@@ -402,6 +385,16 @@ class TestVerify:
         )
         assert proc.returncode == 0, proc.stderr
         assert "all match" in proc.stdout
+
+    def test_cli_import_leaves_out_multiprocessing(self):
+        env = dict(os.environ, PYTHONPATH=str(Path(locdom.__file__).parents[1]))
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, locdom.cli; print('multiprocessing' in sys.modules)"],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
 
     def test_report_files(self, capsys, tmp_path):
         csv_path = tmp_path / "report.csv"

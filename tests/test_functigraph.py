@@ -48,6 +48,11 @@ class TestFunctionMap:
         with pytest.raises(ValueError):
             FunctionMap(0, ())
 
+    @pytest.mark.parametrize("targets", [(1.0, 0, 0), (True, 0, 0)])
+    def test_rejects_non_integer_targets(self, targets):
+        with pytest.raises(ValueError, match="not an integer"):
+            FunctionMap(3, targets)
+
     def test_keeps_a_private_copy_of_list_targets(self):
         targets = [0, 1, 2]
         fmap = FunctionMap(3, targets)

@@ -2,7 +2,6 @@ import csv
 import hashlib
 import io
 import json
-from dataclasses import replace
 
 import pytest
 
@@ -14,7 +13,6 @@ from locdom.families import (
     identity_map,
     make_family,
     parse_map,
-    path_graph,
     pendant_gap_graph,
     signature_map,
     signatures,
@@ -246,16 +244,6 @@ class TestVerifySuite:
             assert isinstance(row.witness, tuple)
             assert row.witness != () or row.computed == 0
 
-    def test_parallel_matches_sequential(self):
-        config = VerifyConfig(4, 4, 3, True, 2)
-        seq = verify_suite(config, workers=1)
-        par = verify_suite(config, workers=2)
-        strip = lambda rows: [
-            (r.case_id, r.n, r.params, r.predicted, r.computed, r.match, r.witness)
-            for r in rows
-        ]
-        assert strip(seq.rows) == strip(par.rows)
-
     def test_csv_shape(self):
         report = verify_suite(VerifyConfig(3, 4, 3, False, 2))
         buf = io.StringIO()
@@ -302,40 +290,10 @@ class TestVerifySuite:
         assert verify_suite(off).total == 0
         VerifyConfig(n_max_complete=64, n_max_hi=64, n_max_bounds=6, t_max=62)
 
-    def test_solve_all_caps_workers_at_case_count(self, monkeypatch):
-        # the pool is a serial fake, so no process is started
-        made = []
+    def test_workers_other_than_one_rejected_before_any_case(self, monkeypatch):
+        def no_build(*args):
+            raise AssertionError("a case was built before the workers check")
 
-        class SerialPool:
-            def __init__(self, max_workers):
-                made.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, items, chunksize=1):
-                return map(fn, items)
-
-        monkeypatch.setattr(theorems, "ProcessPoolExecutor", SerialPool)
-        cases = [
-            theorems.TheoremCase("demo", n, "", 1, n, g)
-            for n, g in ((3, complete_graph(3)), (4, path_graph(4)), (5, complete_graph(5)))
-        ]
-
-        def strip(rows):
-            return [replace(r, millis=0.0) for r in rows]
-
-        rows = theorems._solved_rows(iter(cases), 100_000)
-        assert made == [3]
-        assert strip(rows) == strip(theorems._solved_rows(iter(cases), 1))
-        assert made == [3]
-        theorems._solved_rows(iter(cases[:1]), 100_000)
-        assert made == [3]
-        # the pool gets the streamed cases whole, read once
-        config = VerifyConfig(4, 4, 3, True, 2)
-        pooled = verify_suite(config, workers=4).rows
-        assert made == [3, 4]
-        assert strip(pooled) == strip(verify_suite(config, workers=1).rows)
+        monkeypatch.setattr(theorems, "build_functigraph", no_build)
+        with pytest.raises(ValueError, match="one process"):
+            verify_suite(VerifyConfig(4, 4, 3, True, 2), workers=2)
