@@ -26,12 +26,12 @@ chosen by the order n alone:
   pick left, that pick must lie in every unhit row. A node that branches
   and finds nothing is remembered in a table of refuted subproblems, keyed
   by its unhit rows alone, so a later node with the same rows and no more
-  picks left fails at once. The table lives for one call and is cleared
-  whenever its estimated size would pass ``REFUTED_BUDGET`` bytes. The
-  search takes a greedy upper bound and walks down from it until a size
-  fails or the start bound is reached. The same search then turns the hit
-  into the lexicographically least one, deciding the vertices in index
-  order (see ``_lambda_search``).
+  picks left fails at once. The rows each packed part meets are memoized
+  per part. Both tables live for one call and are bounded together by
+  ``REFUTED_BUDGET`` bytes. The search takes a greedy upper bound and
+  walks down from it until a size fails or the start bound is reached. The
+  same search then turns the hit into the lexicographically least one,
+  deciding the vertices in index order (see ``_lambda_search``).
 
 Both start from the larger of two sound lower bounds, reported as
 ``stats.pruned_cardinalities_skipped``:
@@ -63,9 +63,12 @@ ORACLE_MAX_ORDER = 24
 TABLE_MAX_ORDER = 12
 # order -> subset tables of ``_tables``, built on first use
 _TABLES: dict[int, tuple[list[int], list[int]]] = {}
-# bytes the refuted-subproblem table of one ``lambda_exact`` call may hold. An
-# entry is counted as 88 bytes for its dict slot and int header plus one byte
-# per 8 bits of its key; the table is cleared when the next entry would pass this
+# bytes the refuted-subproblem table and the part memo of one ``lambda_exact``
+# call may hold together. A refuted entry is counted as 88 bytes for its dict
+# slot and int header plus one byte per 8 bits of its key, a memo entry as 116
+# bytes (a second int header) plus one per 8 bits of its key and value. The
+# memo is cleared when an entry takes the sum past this, and the table when
+# its own entries would pass it, so the sum passes it by one memo entry at most
 REFUTED_BUDGET = 1 << 23
 
 
@@ -240,9 +243,12 @@ def _lambda_search(g: Graph, use_twin_pruning: bool = True) -> SolveResult:
     row in ``unhit``, or None. A node first packs greedily: it takes the
     allowed part of the first remaining row and drops every row that meets
     it, and fails on a row with no allowed vertex or once it needs more than
-    ``left`` parts. Otherwise it branches on its first row, lowest vertex
-    first, the child's rows being ``unhit & ~covers[v]``, and drops each
-    vertex from ``allowed`` once its branch fails. A node with one pick left
+    ``left`` parts. The rows meeting a part, the OR of its vertices'
+    ``covers``, are memoized per part for the call, since the same parts
+    recur across nodes; the memo only saves work, so it changes no node.
+    Otherwise the node branches on its first row, lowest vertex first, the
+    child's rows being ``unhit & ~covers[v]``, and drops each vertex from
+    ``allowed`` once its branch fails. A node with one pick left
     returns the lowest allowed vertex of its first row that lies in every
     row, which is the first leaf that branching would find.
 
@@ -259,8 +265,8 @@ def _lambda_search(g: Graph, use_twin_pruning: bool = True) -> SolveResult:
     a hit holds v and is a lex-lesser witness, so it replaces the witness
     and v is fixed; a miss drops v. The walk ends once every pick is fixed.
 
-    A node with more than two picks left that passes the packing looks up
-    its ``unhit`` in a table of refuted subproblems shared by all roots. An
+    A node with more than two picks left looks up its ``unhit``, before it
+    packs, in a table of refuted subproblems shared by all roots. An
     entry of at least ``left`` means no hit exists. A node whose branches
     all fail stores ``left`` under its rows. The rows alone are a sound key.
     Say a node X with rows U fails, and a later node Y with rows U and no
@@ -274,8 +280,10 @@ def _lambda_search(g: Graph, use_twin_pruning: bool = True) -> SolveResult:
     By induction over the order in which nodes fail, every failure, and so
     every skip, is a true one. The search therefore visits its successful
     branches in the same order and returns the same sets as without the
-    table. The table is cleared when its estimated size would pass
-    ``REFUTED_BUDGET`` bytes.
+    table. ``REFUTED_BUDGET`` bounds the estimated bytes of the table and the
+    part memo together. The memo is cleared first, and the table only when
+    its own entries would pass the budget, so the memo never moves a
+    clearing of the table.
 
     ``use_twin_pruning`` fixes the forced twin core before any root, and the
     rows it hits are never built. ``stats.sets_tested`` counts ``hit``
@@ -322,10 +330,13 @@ def _lambda_search(g: Graph, use_twin_pruning: bool = True) -> SolveResult:
     nodes = 0
     # unhit rows -> most picks known not to suffice
     refuted: dict[int, int] = {}
-    stored = 0
+    # allowed part of a row -> the rows meeting it, the OR of its covers
+    spans: dict[int, int] = {}
+    # estimated bytes of each table; REFUTED_BUDGET bounds their sum
+    stored = spanned = 0
 
     def hit(unhit: int, allowed: int, left: int) -> int | None:
-        nonlocal nodes, stored
+        nonlocal nodes, stored, spanned
         nodes += 1
         if not unhit:
             return 0
@@ -338,6 +349,8 @@ def _lambda_search(g: Graph, use_twin_pruning: bool = True) -> SolveResult:
                     return bit
                 first ^= bit
             return None
+        if left > 2 and refuted.get(unhit, 0) >= left:
+            return None
         rest = unhit
         packed = 0
         while rest:
@@ -346,12 +359,21 @@ def _lambda_search(g: Graph, use_twin_pruning: bool = True) -> SolveResult:
                 return None
             packed += 1
             # the rows meeting this part cannot be packed beside it
-            while part:
-                bit = part & -part
-                part ^= bit
-                rest &= ~covers[bit.bit_length() - 1]
-        if left > 2 and refuted.get(unhit, 0) >= left:
-            return None
+            span = spans.get(part)
+            if span is None:
+                span = 0
+                vertices = part
+                while vertices:
+                    bit = vertices & -vertices
+                    vertices ^= bit
+                    span |= covers[bit.bit_length() - 1]
+                cost = 116 + (part.bit_length() + span.bit_length()) // 8
+                spanned += cost
+                if stored + spanned > REFUTED_BUDGET:
+                    spans.clear()
+                    spanned = cost
+                spans[part] = span
+            rest &= ~span
         branch = first
         while branch:
             bit = branch & -branch
@@ -363,9 +385,14 @@ def _lambda_search(g: Graph, use_twin_pruning: bool = True) -> SolveResult:
         if left > 2:
             cost = 88 + unhit.bit_length() // 8
             stored += cost
-            if stored > REFUTED_BUDGET:
-                refuted.clear()
-                stored = cost
+            if stored + spanned > REFUTED_BUDGET:
+                # the memo goes first, so the table is cleared only when its
+                # own entries pass the budget and the memo changes no node
+                spans.clear()
+                spanned = 0
+                if stored > REFUTED_BUDGET:
+                    refuted.clear()
+                    stored = cost
             refuted[unhit] = left
         return None
 

@@ -393,20 +393,47 @@ class TestLambdaExact:
         assert lambda_exact(cycle_graph(40)).stats.sets_tested < 2_000
 
     def test_cleared_refuted_table_keeps_answers(self, monkeypatch):
-        # 300 bytes hold about three entries, so the table is cleared many
-        # times per solve; at 2,000 it is cleared on K8 and K9 identity and
-        # C18 and answers enough lookups between clearings that a lookup
-        # skipping one pick too early changes a witness here
+        # 300 bytes hold about three refuted entries, so that table is cleared
+        # many times per solve; at 2,000 it is cleared on K9 identity and C18
+        # and answers enough lookups between clearings that a lookup skipping
+        # one pick too early changes a witness here. The part memo shares the
+        # budget at 116 bytes or more an entry, so it is cleared on most new
+        # parts at 300 and 1 to 85 times a solve at 2,000. The node counts
+        # are those of the same search without the memo: clearing the memo
+        # must not move a refuted-table clearing or change any node
         graphs = [build_functigraph(complete_graph(n), identity_map(n)).graph for n in (8, 9)]
         graphs += [cycle_graph(n) for n in range(15, 19)]
         references = [lambda_oracle(g) for g in graphs]
-        for budget in (300, 2_000):
+        nodes = {300: [181, 364, 44, 163, 120, 358], 2_000: [127, 205, 44, 112, 84, 244]}
+        for budget, counts in nodes.items():
             monkeypatch.setattr(solver, "REFUTED_BUDGET", budget)
-            for g, reference in zip(graphs, references):
+            for g, reference, count in zip(graphs, references, counts):
                 for solve in CORES:
                     for pruning in (True, False):
                         res = solve(g, use_twin_pruning=pruning)
                         assert (res.lambda_, res.witness) == (reference.lambda_, reference.witness)
+                        assert res.stats.sets_tested == count
+
+    def test_node_counts_are_pinned(self):
+        # search nodes of the benchmark's solve ladder and of three harder
+        # solves, equal to those of the same search without the part memo;
+        # a change here changed the search, not just its cost
+        def identity_functigraph(g):
+            return build_functigraph(g, identity_map(g.n)).graph
+
+        cases = [
+            (cycle_graph(22), 164),
+            (path_graph(22), 169),
+            (identity_functigraph(complete_graph(11)), 280),
+            (random_connected_graph(random.Random(0), 24, 0.15), 958),
+            (identity_functigraph(complete_graph(10)), 223),
+            (identity_functigraph(path_graph(20)), 18_676),
+            (random_connected_graph(random.Random(0), 40), 17_753),
+            (identity_functigraph(complete_graph(32)), 2_863),
+        ]
+        assert [lambda_exact(g).stats.sets_tested for g, _ in cases] == [
+            count for _, count in cases
+        ]
 
     def test_search_answers_are_pinned(self):
         # (value, witness, start bound) of graphs past the oracle's reach in
