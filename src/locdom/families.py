@@ -226,13 +226,13 @@ def connected_graphs(n: int) -> Iterator[Graph]:
             yield g
 
 
-def canonical_form(g: Graph) -> tuple:
-    """Isomorphism-invariant key: minimal adjacency code over degree-preserving
-    relabelings. Intended for small graphs; regular graphs fall back to all
-    permutations of their order.
+def _least_code(g: Graph) -> tuple[tuple, list[int]]:
+    """Canonical key of ``g`` and the first vertex order that attains it.
 
-    It serves callers and tests as an isomorphism key; class generation in
-    :func:`nonisomorphic_connected_graphs` does not use it.
+    The key is ``(n, sorted degrees, code)``, where the code is the least
+    adjacency code (upper triangle, row by row) over the vertex orders that
+    list the vertices by degree. Regular graphs fall back to all
+    permutations of their order.
     """
     n = g.n
     degree_of = [g.adj[v].bit_count() for v in range(n)]
@@ -241,6 +241,7 @@ def canonical_form(g: Graph) -> tuple:
         groups.setdefault(degree_of[v], []).append(v)
     blocks = [groups[d] for d in sorted(groups)]
     best: int | None = None
+    best_order: list[int] = []
     for choice in product(*(permutations(block) for block in blocks)):
         order = [v for block in choice for v in block]
         code = 0
@@ -250,7 +251,37 @@ def canonical_form(g: Graph) -> tuple:
                 code = code << 1 | (row >> order[b] & 1)
         if best is None or code < best:
             best = code
-    return (n, tuple(sorted(degree_of)), best)
+            best_order = order
+    return (n, tuple(sorted(degree_of)), best), best_order
+
+
+def canonical_form(g: Graph) -> tuple:
+    """Isomorphism-invariant key: minimal adjacency code over degree-preserving
+    relabelings. Intended for small graphs; regular graphs fall back to all
+    permutations of their order.
+
+    It serves callers and tests as an isomorphism key; class generation in
+    :func:`nonisomorphic_connected_graphs` does not use it.
+    """
+    return _least_code(g)[0]
+
+
+def relabeling(g: Graph, h: Graph) -> list[int] | None:
+    """A permutation ``perm`` with ``permute_graph(g, perm) == h``, or None
+    when the two graphs are not isomorphic.
+
+    Both graphs are put in the vertex order that attains their canonical
+    key; the vertex at each place of ``g``'s order goes to the vertex at
+    that place of ``h``'s. Intended for small graphs, as ``canonical_form``.
+    """
+    key, order = _least_code(g)
+    other, target = _least_code(h)
+    if key != other:
+        return None
+    perm = [0] * g.n
+    for v, w in zip(order, target):
+        perm[v] = w
+    return perm
 
 
 def nonisomorphic_connected_graphs(n: int) -> list[Graph]:

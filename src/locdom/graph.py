@@ -38,8 +38,10 @@ def bits(mask: int) -> Iterator[int]:
 class VertexSet:
     """Subset of the vertices ``[0, universe)`` of a fixed-order graph.
 
-    Comparisons order sets lexicographically by their sorted member tuples,
-    the tie-break order used for solver witnesses. Subset queries go through
+    Comparisons order sets of one universe lexicographically by their sorted
+    member tuples, the tie-break order used for solver witnesses. Ordering
+    sets of different universes raises ``ValueError``, as ``|``, ``&`` and
+    ``-`` do; such sets are never equal. Subset queries go through
     :meth:`issubset`; ``|``, ``&`` and ``-`` work as for built-in sets.
     """
 
@@ -77,6 +79,7 @@ class VertexSet:
     def __lt__(self, other: "VertexSet") -> bool:
         if not isinstance(other, VertexSet):
             return NotImplemented
+        self._require_same_universe(other)
         return self.members < other.members
 
     def _require_same_universe(self, other: "VertexSet") -> None:

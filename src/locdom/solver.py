@@ -16,7 +16,8 @@ chosen by the order n alone:
   per-order table indexed by the row itself. The value and the
   lexicographically least witness are then read off precomputed size
   layers. ``stats.sets_tested`` is ``2**n`` and
-  ``use_twin_pruning`` changes nothing.
+  ``use_twin_pruning`` changes nothing. ``minimum_layer`` returns the same
+  pass's whole minimum layer, every locating-dominating set of least size.
 * larger n: branch and bound. A pair row whose ends have no common neighbor
   contains ``N[u]``, so it is implied and left out. The rows are numbered
   by size, then by value, so a node's unhit rows are one integer over row
@@ -196,19 +197,17 @@ def _tables(n: int) -> tuple[list[int], list[int]]:
     return tables
 
 
-def _lambda_table(g: Graph) -> SolveResult:
-    """Bit-parallel pass over all subsets, for graphs of order ``<= TABLE_MAX_ORDER``.
+def _table_pass(g: Graph) -> tuple[int, int, int]:
+    """(value, minimum layer, start bound) of a graph of order ``<= TABLE_MAX_ORDER``.
 
     ``ok`` starts as every subset and is ANDed with the sets that hit each
     constraint row, so it ends as the locating-dominating sets. Implied pair
     rows cost one AND each and are not filtered out. The twin core is read
-    off the same pair rows, for the start bound alone. In the bit order of
-    ``_tables`` vertex 0 is the highest bit, so of two sets of one size
-    the one holding the first vertex where they differ, the lex-lesser, sits
-    higher. The value is the first size from the start bound with a set in
-    ``ok``, and the witness is the highest such position.
+    off the same pair rows, for the start bound alone. The value is the
+    first size from the start bound with a set in ``ok``, and the minimum
+    layer is ``ok`` cut to that size: every locating-dominating set of
+    minimum size, as positions in the bit order of ``_tables``.
     """
-    started = time.perf_counter()
     n = g.n
     adj = g.adj
     hits, layers = _tables(n)
@@ -228,6 +227,34 @@ def _lambda_table(g: Graph) -> SolveResult:
     size = start
     while not (found := ok & layers[size]):
         size += 1
+    return size, found, start
+
+
+def minimum_layer(g: Graph) -> tuple[int, int]:
+    """The value of ``g`` and every locating-dominating set of that size.
+
+    The sets come as one integer whose bit p stands for the set that holds
+    vertex v iff bit ``g.n - 1 - v`` of p is set, so of two sets of one size
+    the lex-lesser sits higher. Only graphs of order at most
+    ``TABLE_MAX_ORDER`` are accepted.
+    """
+    if g.n > TABLE_MAX_ORDER:
+        raise ValueError(f"order {g.n} exceeds the table order {TABLE_MAX_ORDER}")
+    size, found, _ = _table_pass(g)
+    return size, found
+
+
+def _lambda_table(g: Graph) -> SolveResult:
+    """Bit-parallel pass over all subsets, for graphs of order ``<= TABLE_MAX_ORDER``.
+
+    In the bit order of ``_tables`` vertex 0 is the highest bit, so of two
+    sets of one size the one holding the first vertex where they differ,
+    the lex-lesser, sits higher. The witness is the highest position of the
+    minimum layer of ``_table_pass``.
+    """
+    started = time.perf_counter()
+    n = g.n
+    size, found, start = _table_pass(g)
     witness = int(f"{found.bit_length() - 1:0{n}b}"[::-1], 2)
     elapsed = time.perf_counter() - started
     return SolveResult(size, VertexSet(n, witness), SearchStats(1 << n, start, elapsed))

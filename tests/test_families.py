@@ -22,7 +22,9 @@ from locdom.families import (
     pendant_gap_graph,
     permutation_map,
     random_connected_graph,
+    random_graph,
     random_map_with_signature,
+    relabeling,
     signature_map,
     signatures,
     star_graph,
@@ -260,6 +262,32 @@ class TestEnumeration:
             perm = list(range(g.n))
             rng.shuffle(perm)
             assert canonical_form(permute_graph(g, perm)) == canonical_form(g)
+
+    def test_relabeling_maps_one_graph_onto_the_other(self):
+        rng = random.Random(19)
+        from locdom.graph import permute_graph
+
+        for _ in range(60):
+            g = random_graph(rng, rng.randint(1, 6), rng.uniform(0.2, 0.8))
+            perm = list(range(g.n))
+            rng.shuffle(perm)
+            h = permute_graph(g, perm)
+            found = relabeling(g, h)
+            assert sorted(found) == list(range(g.n))
+            assert permute_graph(g, found) == h
+        # every labeled graph on up to 4 vertices against the first of each class
+        for n in range(1, 5):
+            firsts = {}
+            for g in all_graphs(n):
+                firsts.setdefault(canonical_form(g), g)
+            assert all(relabeling(g, g) == list(range(n)) for g in firsts.values())
+            for h in all_graphs(n):
+                for key, g in firsts.items():
+                    found = relabeling(g, h)
+                    if key == canonical_form(h):
+                        assert permute_graph(g, found) == h
+                    else:
+                        assert found is None
 
     def test_random_connected_is_connected_and_seeded(self):
         a = random_connected_graph(random.Random(9), 8)

@@ -122,6 +122,21 @@ class TestVertexSet:
         with pytest.raises(ValueError):
             VertexSet.of(3, [0]) | VertexSet.of(4, [0])
 
+    def test_order_across_universes_rejected(self):
+        # equality compares the universe too, so an order on members alone
+        # would make both ``small > large`` and ``large > small`` True
+        small, large = VertexSet(3, 1), VertexSet(4, 1)
+        assert small != large
+        for compare in (
+            lambda: small > large,
+            lambda: large > small,
+            lambda: small < large,
+            lambda: small <= large,
+            lambda: large >= small,
+        ):
+            with pytest.raises(ValueError, match="different universes"):
+                compare()
+
     def test_out_of_range(self):
         with pytest.raises(ValueError):
             VertexSet.of(3, [3])

@@ -28,6 +28,7 @@ from locdom.solver import (
     is_locating_dominating,
     lambda_exact,
     lambda_oracle,
+    minimum_layer,
     trace,
     twin_lower_bound,
 )
@@ -564,6 +565,45 @@ class TestTablePass:
         sets = sets_of(TABLE_MAX_ORDER)
         for k in random.Random(12).sample(range(1 << TABLE_MAX_ORDER), 300):
             assert hits[k] == meeting(sets, k)
+
+
+class TestMinimumLayer:
+    """``minimum_layer`` must hold every minimum set: the bounds sweep derives
+    relabeled witnesses from it, so a missing set would corrupt only those."""
+
+    @staticmethod
+    def check(g):
+        size, layer = minimum_layer(g)
+        # position p stands for the set holding v iff bit n - 1 - v of p is set
+        sets = {sum(1 << v for v in range(g.n) if p >> (g.n - 1 - v) & 1) for p in bits(layer)}
+        brute = {
+            VertexSet.of(g.n, members).mask
+            for members in combinations(range(g.n), size)
+            if is_locating_dominating(g, VertexSet.of(g.n, members))
+        }
+        assert sets == brute
+        assert not any(
+            is_locating_dominating(g, VertexSet.of(g.n, members))
+            for members in combinations(range(g.n), size - 1)
+        )
+        assert size == lambda_oracle(g).lambda_
+
+    def test_every_labeled_graph_up_to_five(self):
+        count = 0
+        for n in range(1, 6):
+            for g in all_graphs(n):
+                self.check(g)
+                count += 1
+        assert count == 1099
+
+    def test_random_graphs_up_to_ten(self):
+        rng = random.Random(61)
+        for _ in range(150):
+            self.check(random_graph(rng, rng.randint(6, 10), rng.uniform(0.1, 0.9)))
+
+    def test_order_above_the_table_rejected(self):
+        with pytest.raises(ValueError):
+            minimum_layer(cycle_graph(TABLE_MAX_ORDER + 1))
 
 
 class TestLambdaOracle:

@@ -17,7 +17,7 @@ from locdom.families import (
     signature_map,
     signatures,
 )
-from locdom.functigraph import Signature, build_functigraph
+from locdom.functigraph import FunctionMap, Signature, build_functigraph
 from locdom.graph import Graph
 from locdom.solver import lambda_exact
 from locdom.theorems import (
@@ -225,18 +225,48 @@ class TestVerifySuite:
         assert sections["matching"] == (10, 10)
         assert sections["equality"] == (10, 10)
 
-    def test_default_rows_are_pinned(self):
-        # every field but millis of the default sweep; a new digest means the
-        # rows, their order or their witnesses changed
-        rows = verify_suite().rows
+    @staticmethod
+    def row_digest(rows):
+        # every field but millis; a new digest means the rows, their order or
+        # their witnesses changed
         key = [
             (r.case_id, r.n, r.params, r.predicted, r.computed, r.match, r.witness, r.anchor)
             for r in rows
         ]
+        return hashlib.sha256(repr(key).encode()).hexdigest()
+
+    def test_default_rows_are_pinned(self):
+        rows = verify_suite().rows
         assert len(rows) == 10_330
-        assert hashlib.sha256(repr(key).encode()).hexdigest() == (
+        assert self.row_digest(rows) == (
             "cb465e0b40e30e8ee16549cd17285d0e93a74d21ee58b0f972d0982b6cce68d0"
         )
+
+    def test_bounds6_rows_are_pinned(self):
+        rows = verify_suite(VerifyConfig(n_max_bounds=6)).rows
+        assert len(rows) == 12_683
+        assert self.row_digest(rows) == (
+            "fdc3e6b68e33c7972b918230e37247358c3d4309849df17109293c1dee4860b3"
+        )
+
+    def test_relabeled_bounds_rows_match_their_own_solves(self):
+        # bases on 3 and 4 vertices take value and witness from the first base
+        # of their class; each row must equal a solve of its own instance
+        config = VerifyConfig(
+            n_max_complete=1, n_max_hi=3, n_max_bounds=4, include_gap_lemma=False
+        )
+        rows = [r for r in verify_suite(config).rows if r.case_id == "bounds-range"]
+        assert len(rows) == len({r.params for r in rows}) == 4 * 27 + 38 * 256
+        for row in rows:
+            edges, _, targets = row.params.removeprefix("edges=").partition(" map=")
+            pairs = [tuple(map(int, edge.split("-"))) for edge in edges.split()]
+            base = Graph.from_edges(row.n, pairs)
+            fmap = FunctionMap(row.n, tuple(map(int, targets.split(","))))
+            result = lambda_exact(build_functigraph(base, fmap).graph)
+            assert (row.computed, row.witness) == (
+                result.lambda_,
+                result.witness.members,
+            ), row.params
 
     def test_rows_carry_witnesses(self):
         report = verify_suite(SMALL_CONFIG)
