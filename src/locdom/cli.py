@@ -2,9 +2,11 @@
 and run the verification sweeps.
 
 Exit codes: 0 on success (and all rows matching for ``verify``), 1 when a
-verification sweep has mismatches, 2 on any input error. With ``--json`` or
-``--csv``, stdout carries only the structured artifact; prose goes to stderr.
-At most one of them may write to stdout. ``verify`` runs in one process.
+verification sweep has mismatches, 2 on any input error, 3 on an internal
+error (any other exception, reported as ``internal error: ...``). With
+``--json`` or ``--csv``, stdout carries only the structured artifact; prose
+goes to stderr. At most one of them may write to stdout. ``verify`` runs in
+one process.
 """
 
 from __future__ import annotations
@@ -247,6 +249,10 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:
+        # a fault of the program, not of its input or of the predictions
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
 
 
 def entry() -> None:

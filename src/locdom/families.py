@@ -226,8 +226,9 @@ def connected_graphs(n: int) -> Iterator[Graph]:
             yield g
 
 
-def _least_code(g: Graph) -> tuple[tuple, list[int]]:
-    """Canonical key of ``g`` and the first vertex order that attains it.
+def _least_code(g: Graph) -> tuple[tuple, list[list[int]]]:
+    """Canonical key of ``g`` and every vertex order that attains it, in the
+    order they are found.
 
     The key is ``(n, sorted degrees, code)``, where the code is the least
     adjacency code (upper triangle, row by row) over the vertex orders that
@@ -241,7 +242,7 @@ def _least_code(g: Graph) -> tuple[tuple, list[int]]:
         groups.setdefault(degree_of[v], []).append(v)
     blocks = [groups[d] for d in sorted(groups)]
     best: int | None = None
-    best_order: list[int] = []
+    orders: list[list[int]] = []
     for choice in product(*(permutations(block) for block in blocks)):
         order = [v for block in choice for v in block]
         code = 0
@@ -251,8 +252,19 @@ def _least_code(g: Graph) -> tuple[tuple, list[int]]:
                 code = code << 1 | (row >> order[b] & 1)
         if best is None or code < best:
             best = code
-            best_order = order
-    return (n, tuple(sorted(degree_of)), best), best_order
+            orders = [order]
+        elif code == best:
+            orders.append(order)
+    return (n, tuple(sorted(degree_of)), best), orders
+
+
+def _carry(order: list[int], target: list[int]) -> list[int]:
+    """The permutation that sends the vertex at each place of ``order`` to
+    the vertex at that place of ``target``."""
+    perm = [0] * len(order)
+    for v, w in zip(order, target):
+        perm[v] = w
+    return perm
 
 
 def canonical_form(g: Graph) -> tuple:
@@ -270,18 +282,56 @@ def relabeling(g: Graph, h: Graph) -> list[int] | None:
     """A permutation ``perm`` with ``permute_graph(g, perm) == h``, or None
     when the two graphs are not isomorphic.
 
-    Both graphs are put in the vertex order that attains their canonical
-    key; the vertex at each place of ``g``'s order goes to the vertex at
-    that place of ``h``'s. Intended for small graphs, as ``canonical_form``.
+    Both graphs are put in the first vertex order that attains their
+    canonical key; the vertex at each place of ``g``'s order goes to the
+    vertex at that place of ``h``'s. Intended for small graphs, as
+    ``canonical_form``.
     """
-    key, order = _least_code(g)
-    other, target = _least_code(h)
+    key, orders = _least_code(g)
+    other, targets = _least_code(h)
     if key != other:
         return None
-    perm = [0] * g.n
-    for v, w in zip(order, target):
-        perm[v] = w
-    return perm
+    return _carry(orders[0], targets[0])
+
+
+def automorphisms(g: Graph) -> list[tuple[int, ...]]:
+    """Every permutation ``perm`` with ``permute_graph(g, perm) == g``, the
+    identity first.
+
+    Two vertex orders that attain the canonical key put ``g`` in one layout,
+    so carrying the first onto any other is an automorphism. Conversely an
+    automorphism keeps degrees, so it moves the first order to another
+    order of the search with the same code. Intended for small graphs, as
+    ``canonical_form``.
+    """
+    orders = _least_code(g)[1]
+    return [tuple(_carry(orders[0], order)) for order in orders]
+
+
+def map_orbits(g: Graph) -> tuple[list[tuple[int, ...]], list[tuple[int, int, int]]]:
+    """The automorphisms of ``g`` and, for each map on its vertices in
+    :func:`all_maps` order, ``(h0, i, j)``: the index of the first map of
+    its orbit under f -> sigma f tau, for sigma and tau automorphisms, with
+    the map equal to ``auts[j] h0 auts[i]^-1``.
+
+    F(g, sigma f tau) is F(g, f) with its first copy moved by tau^-1 and its
+    second by sigma, so the maps of one orbit give isomorphic functigraphs.
+    On a complete graph the orbits are the preimage signatures. Intended for
+    small graphs: every one of the n**n maps gets an entry.
+    """
+    n = g.n
+    auts = automorphisms(g)
+    weight = [n ** (n - 1 - u) for u in range(n)]
+    orbits: list = [None] * n**n
+    for index, targets in enumerate(product(range(n), repeat=n)):
+        if orbits[index] is None:
+            for i, rho in enumerate(auts):
+                for j, sigma in enumerate(auts):
+                    # sigma f tau with tau = rho^-1 sends rho[u] to sigma[f(u)]
+                    at = sum(sigma[t] * weight[rho[u]] for u, t in enumerate(targets))
+                    if orbits[at] is None:
+                        orbits[at] = (index, i, j)
+    return auts, orbits
 
 
 def nonisomorphic_connected_graphs(n: int) -> list[Graph]:

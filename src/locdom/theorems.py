@@ -12,9 +12,9 @@ Predictions cover three instance families:
 
 ``verify_suite`` checks every swept instance against its exact value and
 reports one row per comparison; a mismatch is a report row, never an
-exception. Each instance is solved exactly, except that a labeled base on
-at most 4 vertices that relabels an earlier base of its isomorphism class
-takes its value and witness from that base's solve (see ``_relabeled_rows``).
+exception. Each instance is solved exactly, except that on bases of at
+most 4 vertices one instance per symmetry orbit is solved and the others
+take its value and witness (see ``_relabeled_rows``).
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ from __future__ import annotations
 import csv
 import random
 import time
+from collections import namedtuple
 from dataclasses import dataclass, field
 from itertools import chain
 from typing import IO, Iterator
@@ -35,6 +36,7 @@ from .families import (
     constant_map,
     h_graph,
     identity_map,
+    map_orbits,
     nonisomorphic_connected_graphs,
     path_graph,
     pendant_gap_graph,
@@ -171,30 +173,19 @@ def predicted_bounds_functigraph(n: int) -> FunctigraphBounds:
     )
 
 
-@dataclass(frozen=True)
-class TheoremCase:
-    """One solvable instance with its predicted value (or range)."""
-
-    case_id: str
-    n: int
-    params: str
-    low: int
-    high: int
-    graph: Graph
-    anchor: str = ""
-
-
-@dataclass(frozen=True)
-class CaseRow:
-    case_id: str
-    n: int
-    params: str
-    predicted: str
-    computed: int
-    match: bool
-    millis: float
-    witness: tuple[int, ...]
-    anchor: str = ""
+# Immutable records, cheap to build since a sweep builds about ten thousand.
+# They come from ``collections.namedtuple``: ``typing.NamedTuple`` would
+# compile each of this module's postponed (string) annotations at import.
+TheoremCase = namedtuple(
+    "TheoremCase", "case_id n params low high graph anchor", defaults=("",)
+)
+TheoremCase.__doc__ = "One solvable instance with its predicted value (or range)."
+CaseRow = namedtuple(
+    "CaseRow",
+    "case_id n params predicted computed match millis witness anchor",
+    defaults=("",),
+)
+CaseRow.__doc__ = "One report row: the predicted and the exact value, and a witness."
 
 
 @dataclass(frozen=True)
@@ -368,11 +359,10 @@ def verify_suite(
     Sections: the complete-graph signature sweep (with the matching-count and
     base-equality checks derived from it), the near-complete h_graph sweep,
     the bounds sweep with its sharpness instances, and the gap construction.
-    Bases of order up to 4 are swept with every labeled base and every map.
-    Only the first base of each isomorphism class is solved there; the
-    relabeled copies take their exact value, and the lex-least image of its
-    minimum sets as witness, from it. Larger bases use one representative
-    per isomorphism class with a deterministic map sample.
+    Bases of order up to 4 are swept with every labeled base and every map,
+    solving one instance per symmetry orbit (see ``_relabeled_rows``).
+    Larger bases use one representative per isomorphism class with a
+    deterministic map sample.
 
     The sweep runs in one process and solves the cases in order. The bounds
     cases are streamed: each is built, solved and turned into its row in
@@ -492,16 +482,19 @@ def _relabeled_rows(n: int, bounds: FunctigraphBounds) -> Iterator[CaseRow]:
     """``bounds-range`` rows of every connected labeled base on n vertices
     under every map, in ``all_graphs`` then ``all_maps`` order.
 
-    Only the first base of each isomorphism class is solved. Moving the
-    vertices of a base by ``perm`` and its map f to ``perm f perm^-1`` moves
-    both copies of the functigraph by ``perm``. So a later base
-    ``permute_graph(first, perm)`` under map g has the value of the first
-    under ``perm^-1 g perm``, and its locating-dominating sets are the images
-    of the first's. Its witness is the lex-least image of the first's
-    minimum sets: in the position order of ``minimum_layer``, each n-bit
-    half of a position is moved by one table, and the lex-least image is
-    the highest. A row's ``millis`` is the wall time spent producing it,
-    the solve included for the first base of a class.
+    Only the first base G of each isomorphism class is solved, and only
+    under the first map h0 of each orbit of ``map_orbits(G)``: F(G, sigma
+    h0 tau) is F(G, h0) with its first copy moved by tau^-1 and its second
+    by sigma. Moving a base by ``perm`` and its map g to ``perm g perm^-1``
+    moves both copies by ``perm``, so the base ``permute_graph(G, perm)``
+    under g reads h = perm^-1 g perm = sigma h0 tau. Its locating-dominating
+    sets are those of F(G, h0) moved by perm tau^-1 on copy one and by perm
+    sigma on copy two, and its witness is the lex-least image of h0's
+    minimum sets. In the position order of ``minimum_layer`` each n-bit
+    half of a position is moved by the table of its copy's permutation, and
+    the lex-least image is the highest. A row's ``millis`` is the wall time
+    spent producing it: the build and solve for G under h0, the derivation
+    for every other row.
     """
     clock = time.perf_counter
     maps = list(all_maps(n))
@@ -510,47 +503,54 @@ def _relabeled_rows(n: int, bounds: FunctigraphBounds) -> Iterator[CaseRow]:
     ones = [tuple(v for v in range(n) if x >> n - 1 - v & 1) for x in range(1 << n)]
     twos = [tuple(n + v for v in members) for members in ones]
     low = (1 << n) - 1
-    # class key -> (first base, map index -> (value, the minimum sets'
-    # positions as upper half -> the lower halves it comes with))
-    classes: dict[tuple, tuple[Graph, dict[int, tuple[int, dict[int, list[int]]]]]] = {}
+    # permutation p -> half table: entry x is half x with each vertex v moved
+    # to p[v]
+    tables: dict[tuple[int, ...], list[int]] = {}
+    # class key -> (first base G, its map_orbits, first map index of an orbit
+    # -> (value, the minimum sets as upper half -> lower halves))
+    classes: dict[tuple, tuple] = {}
     for base in all_graphs(n):
         if not is_connected(base):
             continue
-        first, solutions = classes.setdefault(canonical_form(base), (base, {}))
+        key = canonical_form(base)
+        if key not in classes:
+            classes[key] = (base, *map_orbits(base), [None] * len(maps))
+        first, auts, orbits, answers = classes[key]
         perm = relabeling(first, base)
         assert perm is not None
         inverse = [0] * n
         for v, w in enumerate(perm):
             inverse[w] = v
-        # half[x]: half x with each vertex v moved to perm[v]; bit j of x
-        # stands for vertex n - 1 - j
-        half = [0]
-        for v in range(n - 1, -1, -1):
-            bit = 1 << n - 1 - perm[v]
-            half += [h | bit for h in half]
-        moved = half.__getitem__
+        moved = []
+        for aut in auts:
+            p = tuple(perm[v] for v in aut)
+            if p not in tables:
+                tables[p] = [sum(1 << n - 1 - p[v] for v in members) for members in ones]
+            moved.append(tables[p].__getitem__)
         edges = _edge_str(base)
         for fmap, map_str in zip(maps, map_strs):
             started = clock()
-            # the index of perm^-1 f perm in all_maps order
+            # the index of perm^-1 g perm in all_maps order
             targets = fmap.targets
             index = 0
             for u in perm:
                 index = index * n + inverse[targets[u]]
-            solution = solutions.get(index)
-            if solution is None:
-                # base is its class's first, so perm is the identity
+            h0, i, j = orbits[index]
+            answer = answers[h0]
+            if answer is None:
+                # maps come in all_maps order, so this is G under h0 itself
                 value, layer = minimum_layer(build_functigraph(base, fmap).graph)
                 halves: dict[int, list[int]] = {}
                 while layer:
                     top = layer.bit_length() - 1
                     layer ^= 1 << top
                     halves.setdefault(top >> n, []).append(top & low)
-                solution = solutions[index] = (value, halves)
-            value, halves = solution
+                answer = answers[h0] = (value, halves)
+            value, halves = answer
+            one, two = moved[i], moved[j]
             # the highest image has the highest upper half, then lower half
-            upper = max(halves, key=moved)
-            lower = max(halves[upper], key=moved)
+            upper = max(halves, key=one)
+            lower = max(halves[upper], key=two)
             yield _case_row(
                 "bounds-range",
                 n,
@@ -559,7 +559,7 @@ def _relabeled_rows(n: int, bounds: FunctigraphBounds) -> Iterator[CaseRow]:
                 bounds.upper,
                 value,
                 (clock() - started) * 1000.0,
-                ones[moved(upper)] + twos[moved(lower)],
+                ones[one(upper)] + twos[two(lower)],
             )
 
 

@@ -349,6 +349,18 @@ class TestVerify:
         assert code == 1
         assert "mismatch demo-bad" in out
 
+    def test_internal_error_exits_three(self, capsys, monkeypatch):
+        # a crash inside the sweep is neither a mismatch (1) nor bad input (2)
+        def broken(*args, **kwargs):
+            raise RuntimeError("solver fault")
+
+        monkeypatch.setattr("locdom.theorems.lambda_exact", broken)
+        code, out, err = run(capsys, ["verify", "--nmax-complete", "2"])
+        assert code == 3
+        assert out == ""
+        assert "internal error: RuntimeError: solver fault" in err
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize(
         "flags",
         [["--nmax-complete", "65"], ["--nmax-hi", "65"], ["--nmax-bounds", "7"],

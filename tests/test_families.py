@@ -1,13 +1,17 @@
 import hashlib
 import random
 import re
+from itertools import permutations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from locdom.families import (
     FamilySpec,
     all_graphs,
     all_maps,
+    automorphisms,
     canonical_form,
     complete_graph,
     connected_graphs,
@@ -16,6 +20,7 @@ from locdom.families import (
     h_graph,
     identity_map,
     make_family,
+    map_orbits,
     nonisomorphic_connected_graphs,
     parse_map,
     path_graph,
@@ -29,16 +34,19 @@ from locdom.families import (
     signatures,
     star_graph,
 )
-from locdom.functigraph import preimage_signature
+from locdom.functigraph import FunctionMap, build_functigraph, preimage_signature
 from locdom.graph import (
     ADJACENT_TWINS,
     MAX_ORDER,
     NON_ADJACENT_TWINS,
     SINGLETON,
+    Graph,
+    bits,
     is_connected,
+    permute_graph,
     twin_partition,
 )
-from locdom.solver import lambda_exact
+from locdom.solver import lambda_exact, minimum_layer
 
 
 class TestFamilies:
@@ -255,8 +263,6 @@ class TestEnumeration:
 
     def test_canonical_form_is_isomorphism_invariant(self):
         rng = random.Random(17)
-        from locdom.graph import permute_graph
-
         for _ in range(30):
             g = random_connected_graph(rng, rng.randint(2, 6))
             perm = list(range(g.n))
@@ -265,8 +271,6 @@ class TestEnumeration:
 
     def test_relabeling_maps_one_graph_onto_the_other(self):
         rng = random.Random(19)
-        from locdom.graph import permute_graph
-
         for _ in range(60):
             g = random_graph(rng, rng.randint(1, 6), rng.uniform(0.2, 0.8))
             perm = list(range(g.n))
@@ -294,3 +298,75 @@ class TestEnumeration:
         b = random_connected_graph(random.Random(9), 8)
         assert a == b
         assert is_connected(a)
+
+
+@st.composite
+def maps_with_automorphisms(draw):
+    """A connected graph on 2..5 vertices (a random tree plus random edges,
+    relabeled), a map on it and two of its automorphisms sigma and tau."""
+    n = draw(st.integers(2, 5))
+    edges = {(draw(st.integers(0, v - 1)), v) for v in range(1, n)}
+    edges |= draw(st.sets(st.sampled_from([(u, v) for u in range(n) for v in range(u + 1, n)])))
+    g = permute_graph(Graph.from_edges(n, sorted(edges)), draw(st.permutations(range(n))))
+    targets = tuple(draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n)))
+    auts = automorphisms(g)
+    return g, targets, draw(st.sampled_from(auts)), draw(st.sampled_from(auts))
+
+
+def minimum_sets(g: Graph) -> tuple[int, set[frozenset[int]]]:
+    value, layer = minimum_layer(g)
+    return value, {
+        frozenset(v for v in range(g.n) if p >> g.n - 1 - v & 1) for p in bits(layer)
+    }
+
+
+class TestAutomorphisms:
+    def test_equal_brute_force_on_every_small_graph(self):
+        for n in range(1, 6):
+            perms = list(permutations(range(n)))
+            for g in all_graphs(n):
+                found = automorphisms(g)
+                assert found[0] == tuple(range(n))
+                assert len(found) == len(set(found))
+                assert set(found) == {p for p in perms if permute_graph(g, p) == g}
+
+    def test_map_orbits_factor_every_map(self):
+        # each map is auts[j] h0 auts[i]^-1 for the first map h0 of its orbit
+        for n in range(1, 5):
+            maps = [fmap.targets for fmap in all_maps(n)]
+            for g in connected_graphs(n):
+                auts, orbits = map_orbits(g)
+                assert auts == automorphisms(g)
+                assert len(orbits) == len(maps)
+                for h, (h0, i, j) in enumerate(orbits):
+                    assert h0 <= h and orbits[h0][0] == h0
+                    rho, sigma = auts[i], auts[j]
+                    assert all(maps[h][rho[u]] == sigma[t] for u, t in enumerate(maps[h0]))
+
+    def test_map_orbits_of_complete_graphs_are_the_signatures(self):
+        for n in range(1, 6):
+            maps = list(all_maps(n))
+            orbits = map_orbits(complete_graph(n))[1]
+            firsts = {h0 for h0, _, _ in orbits}
+            assert len(firsts) == len(signatures(n))
+            for fmap, (h0, _, _) in zip(maps, orbits):
+                assert preimage_signature(fmap) == preimage_signature(maps[h0])
+
+    @settings(max_examples=150, deadline=None)
+    @given(maps_with_automorphisms())
+    def test_sigma_f_tau_moves_the_functigraph(self, instance):
+        # F(G, sigma f tau) is F(G, f) with copy one moved by tau^-1 and copy
+        # two by sigma, so the values agree and the minimum sets correspond
+        g, targets, sigma, tau = instance
+        n = g.n
+        moved = tuple(sigma[targets[tau[u]]] for u in range(n))
+        value, sets = minimum_sets(build_functigraph(g, FunctionMap(n, targets)).graph)
+        other, other_sets = minimum_sets(build_functigraph(g, FunctionMap(n, moved)).graph)
+        assert other == value
+        tau_inverse = [0] * n
+        for u, w in enumerate(tau):
+            tau_inverse[w] = u
+        image = {
+            frozenset(tau_inverse[v] if v < n else n + sigma[v - n] for v in s) for s in sets
+        }
+        assert image == other_sets

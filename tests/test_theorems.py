@@ -25,6 +25,7 @@ from locdom.theorems import (
     TWIN_PAIR,
     CaseRow,
     Report,
+    TheoremCase,
     VerifyConfig,
     complete_case_id,
     hi_case_id,
@@ -267,6 +268,40 @@ class TestVerifySuite:
                 result.lambda_,
                 result.witness.members,
             ), row.params
+
+    def test_exhaustive_bounds_solve_one_map_per_orbit(self, monkeypatch):
+        # one solve per orbit of f -> sigma f tau under the automorphisms of
+        # each class's first base: a lost orbit merge changes these counts
+        # even where the rows still match
+        solves = {3: 0, 4: 0}
+        solve = theorems.minimum_layer
+
+        def counted(g):
+            solves[g.n // 2] += 1
+            return solve(g)
+
+        monkeypatch.setattr(theorems, "minimum_layer", counted)
+        config = VerifyConfig(
+            n_max_complete=1, n_max_hi=3, n_max_bounds=4, include_gap_lemma=False
+        )
+        assert verify_suite(config).total == 2 + 4 * 27 + 1 + 38 * 256
+        assert solves == {3: 13, 4: 232}
+
+    def test_record_fields_and_immutability(self):
+        assert CaseRow._fields == (
+            "case_id", "n", "params", "predicted", "computed", "match",
+            "millis", "witness", "anchor",
+        )
+        assert TheoremCase._fields == (
+            "case_id", "n", "params", "low", "high", "graph", "anchor",
+        )
+        row = CaseRow("demo-ok", 3, "", "3", 3, True, 0.1, (0, 1, 2))
+        case = TheoremCase("demo-ok", 3, "", 3, 3, complete_graph(3))
+        assert row.anchor == case.anchor == ""
+        with pytest.raises(AttributeError):
+            row.millis = 0.0
+        with pytest.raises(AttributeError):
+            case.low = 0
 
     def test_rows_carry_witnesses(self):
         report = verify_suite(SMALL_CONFIG)
