@@ -11,6 +11,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from itertools import combinations, permutations, product
+from operator import mul
 from typing import Iterator, Sequence
 
 from .functigraph import FunctionMap, Signature
@@ -294,9 +295,9 @@ def relabeling(g: Graph, h: Graph) -> list[int] | None:
     return _carry(orders[0], targets[0])
 
 
-def automorphisms(g: Graph) -> list[tuple[int, ...]]:
+def automorphisms(g: Graph, orders: list[list[int]] | None = None) -> list[tuple[int, ...]]:
     """Every permutation ``perm`` with ``permute_graph(g, perm) == g``, the
-    identity first.
+    identity first. ``orders``, if given, is ``_least_code(g)[1]``.
 
     Two vertex orders that attain the canonical key put ``g`` in one layout,
     so carrying the first onto any other is an automorphism. Conversely an
@@ -304,15 +305,18 @@ def automorphisms(g: Graph) -> list[tuple[int, ...]]:
     order of the search with the same code. Intended for small graphs, as
     ``canonical_form``.
     """
-    orders = _least_code(g)[1]
+    orders = orders or _least_code(g)[1]
     return [tuple(_carry(orders[0], order)) for order in orders]
 
 
-def map_orbits(g: Graph) -> tuple[list[tuple[int, ...]], list[tuple[int, int, int]]]:
+def map_orbits(
+    g: Graph, orders: list[list[int]] | None = None
+) -> tuple[list[tuple[int, ...]], list[tuple[int, int, int]]]:
     """The automorphisms of ``g`` and, for each map on its vertices in
     :func:`all_maps` order, ``(h0, i, j)``: the index of the first map of
     its orbit under f -> sigma f tau, for sigma and tau automorphisms, with
-    the map equal to ``auts[j] h0 auts[i]^-1``.
+    the map equal to ``auts[j] h0 auts[i]^-1``. ``orders`` is as in
+    :func:`automorphisms`.
 
     F(g, sigma f tau) is F(g, f) with its first copy moved by tau^-1 and its
     second by sigma, so the maps of one orbit give isomorphic functigraphs.
@@ -320,15 +324,17 @@ def map_orbits(g: Graph) -> tuple[list[tuple[int, ...]], list[tuple[int, int, in
     small graphs: every one of the n**n maps gets an entry.
     """
     n = g.n
-    auts = automorphisms(g)
-    weight = [n ** (n - 1 - u) for u in range(n)]
+    auts = automorphisms(g, orders)
+    # sigma f tau with tau = rho^-1 sends rho[u] to sigma[f(u)], so its index
+    # sums sigma[f(u)] times the place weight of rho[u]
+    placed = [[n ** (n - 1 - v) for v in rho] for rho in auts]
     orbits: list = [None] * n**n
     for index, targets in enumerate(product(range(n), repeat=n)):
         if orbits[index] is None:
-            for i, rho in enumerate(auts):
-                for j, sigma in enumerate(auts):
-                    # sigma f tau with tau = rho^-1 sends rho[u] to sigma[f(u)]
-                    at = sum(sigma[t] * weight[rho[u]] for u, t in enumerate(targets))
+            images = [[sigma[t] for t in targets] for sigma in auts]
+            for i, weights in enumerate(placed):
+                for j, image in enumerate(images):
+                    at = sum(map(mul, image, weights))
                     if orbits[at] is None:
                         orbits[at] = (index, i, j)
     return auts, orbits

@@ -29,9 +29,10 @@ from typing import IO, Iterator
 
 from .families import (
     FamilySpec,
+    _carry,
+    _least_code,
     all_graphs,
     all_maps,
-    canonical_form,
     complete_graph,
     constant_map,
     h_graph,
@@ -40,7 +41,6 @@ from .families import (
     nonisomorphic_connected_graphs,
     path_graph,
     pendant_gap_graph,
-    relabeling,
     signature_map,
     signatures,
     star_graph,
@@ -268,25 +268,29 @@ class Report:
             )
 
     def to_json_dict(self) -> dict:
+        # one object per row, its fields in CaseRow order; json writes the
+        # witness tuple as a list
+        matched = self.matched
         return {
             "summary": {
                 "total": self.total,
-                "matched": self.matched,
-                "all_match": self.all_match,
+                "matched": matched,
+                "all_match": matched == self.total,
             },
             "rows": [
                 {
-                    "case_id": r.case_id,
-                    "n": r.n,
-                    "params": r.params,
-                    "predicted": r.predicted,
-                    "computed": r.computed,
-                    "match": r.match,
-                    "millis": r.millis,
-                    "witness": list(r.witness),
-                    "anchor": r.anchor,
+                    "case_id": case_id,
+                    "n": n,
+                    "params": params,
+                    "predicted": predicted,
+                    "computed": computed,
+                    "match": match,
+                    "millis": millis,
+                    "witness": witness,
+                    "anchor": anchor,
                 }
-                for r in self.rows
+                for case_id, n, params, predicted, computed, match, millis, witness, anchor
+                in self.rows
             ],
         }
 
@@ -303,35 +307,21 @@ def _edge_str(g: Graph) -> str:
     return " ".join(f"{u}-{v}" for u, v in g.edges())
 
 
-def _case_row(
-    case_id: str,
-    n: int,
-    params: str,
-    low: int,
-    high: int,
-    computed: int,
-    millis: float,
-    witness: tuple[int, ...],
-    anchor: str = "",
-) -> CaseRow:
+def _row(case: TheoremCase) -> CaseRow:
+    case_id, n, params, low, high, graph, anchor = case
+    result = lambda_exact(graph)
+    value = result.lambda_
     predicted = str(low) if low == high else f"{low}..{high}"
     return CaseRow(
-        case_id, n, params, predicted, computed, low <= computed <= high, millis, witness, anchor
-    )
-
-
-def _row(case: TheoremCase) -> CaseRow:
-    result = lambda_exact(case.graph)
-    return _case_row(
-        case.case_id,
-        case.n,
-        case.params,
-        case.low,
-        case.high,
-        result.lambda_,
+        case_id,
+        n,
+        params,
+        predicted,
+        value,
+        low <= value <= high,
         result.stats.elapsed * 1000.0,
         result.witness.members,
-        case.anchor,
+        anchor,
     )
 
 
@@ -492,13 +482,15 @@ def _relabeled_rows(n: int, bounds: FunctigraphBounds) -> Iterator[CaseRow]:
     sigma on copy two, and its witness is the lex-least image of h0's
     minimum sets. In the position order of ``minimum_layer`` each n-bit
     half of a position is moved by the table of its copy's permutation, and
-    the lex-least image is the highest. A row's ``millis`` is the wall time
-    spent producing it: the build and solve for G under h0, the derivation
-    for every other row.
+    the lex-least image is the highest. One ``_least_code`` per base gives
+    its class, ``perm`` and, for G, the automorphisms. A row's ``millis``
+    is the wall time spent producing it, in whole ns over 1e6: the build
+    and solve for G under h0, the derivation for every other row.
     """
-    clock = time.perf_counter
+    clock = time.perf_counter_ns
     maps = list(all_maps(n))
     map_strs = [_map_str(fmap) for fmap in maps]
+    predicted = f"{bounds.lower}..{bounds.upper}"
     # n-bit half of a position -> the members it stands for, in either copy
     ones = [tuple(v for v in range(n) if x >> n - 1 - v & 1) for x in range(1 << n)]
     twos = [tuple(n + v for v in members) for members in ones]
@@ -506,59 +498,61 @@ def _relabeled_rows(n: int, bounds: FunctigraphBounds) -> Iterator[CaseRow]:
     # permutation p -> half table: entry x is half x with each vertex v moved
     # to p[v]
     tables: dict[tuple[int, ...], list[int]] = {}
-    # class key -> (first base G, its map_orbits, first map index of an orbit
-    # -> (value, the minimum sets as upper half -> lower halves))
+    # class key -> (first order of the first base G, its map_orbits, first
+    # map index of an orbit -> (value, match, the minimum sets as upper
+    # half -> lower halves))
     classes: dict[tuple, tuple] = {}
     for base in all_graphs(n):
         if not is_connected(base):
             continue
-        key = canonical_form(base)
+        key, orders = _least_code(base)
         if key not in classes:
-            classes[key] = (base, *map_orbits(base), [None] * len(maps))
+            classes[key] = (orders[0], *map_orbits(base, orders), [None] * len(maps))
         first, auts, orbits, answers = classes[key]
-        perm = relabeling(first, base)
-        assert perm is not None
-        inverse = [0] * n
-        for v, w in enumerate(perm):
-            inverse[w] = v
+        perm, inverse = _carry(first, orders[0]), _carry(orders[0], first)
         moved = []
         for aut in auts:
             p = tuple(perm[v] for v in aut)
             if p not in tables:
                 tables[p] = [sum(1 << n - 1 - p[v] for v in members) for members in ones]
             moved.append(tables[p].__getitem__)
-        edges = _edge_str(base)
-        for fmap, map_str in zip(maps, map_strs):
+        # the index of perm^-1 g perm for every g in all_maps order: g's
+        # digit v, of value t, is digit inverse[v] of value inverse[t] there
+        conjugated = [0]
+        for v in range(n):
+            step = n ** (n - 1 - inverse[v])
+            conjugated = [at + inverse[t] * step for at in conjugated for t in range(n)]
+        prefix = f"edges={_edge_str(base)} map="
+        # (h0, i) -> the highest upper half under moved[i], kept per base
+        uppers = {}
+        for index, map_str in zip(conjugated, map_strs):
             started = clock()
-            # the index of perm^-1 g perm in all_maps order
-            targets = fmap.targets
-            index = 0
-            for u in perm:
-                index = index * n + inverse[targets[u]]
             h0, i, j = orbits[index]
             answer = answers[h0]
             if answer is None:
                 # maps come in all_maps order, so this is G under h0 itself
-                value, layer = minimum_layer(build_functigraph(base, fmap).graph)
+                value, layer = minimum_layer(build_functigraph(base, maps[h0]).graph)
                 halves: dict[int, list[int]] = {}
                 while layer:
                     top = layer.bit_length() - 1
                     layer ^= 1 << top
                     halves.setdefault(top >> n, []).append(top & low)
-                answer = answers[h0] = (value, halves)
-            value, halves = answer
+                answer = answers[h0] = (value, bounds.lower <= value <= bounds.upper, halves)
+            value, match, halves = answer
             one, two = moved[i], moved[j]
             # the highest image has the highest upper half, then lower half
-            upper = max(halves, key=one)
+            upper = uppers.get((h0, i))
+            if upper is None:
+                upper = uppers[h0, i] = max(halves, key=one)
             lower = max(halves[upper], key=two)
-            yield _case_row(
+            yield CaseRow(
                 "bounds-range",
                 n,
-                f"edges={edges} map={map_str}",
-                bounds.lower,
-                bounds.upper,
+                prefix + map_str,
+                predicted,
                 value,
-                (clock() - started) * 1000.0,
+                match,
+                (clock() - started) / 1e6,
                 ones[one(upper)] + twos[two(lower)],
             )
 

@@ -349,6 +349,23 @@ class TestVerify:
         assert code == 1
         assert "mismatch demo-bad" in out
 
+    def test_json_report_bytes(self, capsys, monkeypatch, tmp_path):
+        # the command writes the artifact the benchmark writes:
+        # json.dumps(report.to_json_dict()) and a newline, to a file or stdout
+        from locdom.theorems import VerifyConfig, verify_suite
+
+        report = verify_suite(VerifyConfig(4, 4, 3, True, 2))
+        monkeypatch.setattr("locdom.cli.verify_suite", lambda *a, **k: report)
+        expected = json.dumps(report.to_json_dict()) + "\n"
+        path = tmp_path / "report.json"
+        code, out, _ = run(capsys, ["verify", "--json", str(path)])
+        assert code == 0
+        assert out == ""
+        assert path.read_bytes() == expected.encode()
+        code, out, _ = run(capsys, ["verify", "--json", "-"])
+        assert code == 0
+        assert out == expected
+
     def test_internal_error_exits_three(self, capsys, monkeypatch):
         # a crash inside the sweep is neither a mismatch (1) nor bad input (2)
         def broken(*args, **kwargs):

@@ -2,10 +2,11 @@ import csv
 import hashlib
 import io
 import json
+import math
 
 import pytest
 
-from locdom import theorems
+from locdom import families, theorems
 from locdom.families import (
     complete_graph,
     constant_map,
@@ -286,6 +287,53 @@ class TestVerifySuite:
         )
         assert verify_suite(config).total == 2 + 4 * 27 + 1 + 38 * 256
         assert solves == {3: 13, 4: 232}
+
+    def test_least_code_runs_once_per_labeled_base(self, monkeypatch):
+        # key, relabeling and the automorphisms of a class's first base all
+        # come from one canonical search per connected labeled base
+        calls = []
+        least_code = families._least_code
+
+        def counted(g):
+            calls.append(g.n)
+            return least_code(g)
+
+        monkeypatch.setattr(families, "_least_code", counted)
+        monkeypatch.setattr(theorems, "_least_code", counted)
+        config = VerifyConfig(
+            n_max_complete=1, n_max_hi=3, n_max_bounds=4, include_gap_lemma=False
+        )
+        verify_suite(config)
+        assert (calls.count(3), calls.count(4), len(calls)) == (4, 38, 42)
+
+    @staticmethod
+    def masked_json_digest(report):
+        # the JSON report bytes with every millis set to 0.0
+        data = report.to_json_dict()
+        for row in data["rows"]:
+            row["millis"] = 0.0
+        return hashlib.sha256(json.dumps(data).encode()).hexdigest()
+
+    def test_json_report_bytes_are_pinned(self):
+        # key order, value types and the witness lists of the written report
+        assert self.masked_json_digest(verify_suite()) == (
+            "2c3293f13313d8ca2a36292a2a42e2f010d558f449c8708ff68d82559b470ae3"
+        )
+        assert self.masked_json_digest(verify_suite(VerifyConfig(n_max_bounds=6))) == (
+            "46b8e00ee71af54c66753d69840fa22b76fbc77f33f9502489f57129ee089ef9"
+        )
+
+    def test_millis_is_a_float_and_zero_for_read_off_rows(self):
+        # a float keeps "0.0" in the JSON; an int would write "0"
+        report = verify_suite()
+        for row in report.rows:
+            assert type(row.millis) is float, row
+            assert math.isfinite(row.millis) and row.millis >= 0.0, row
+        read_off = [
+            r for r in report.rows if r.case_id in ("matching-lower-bound", "equality-at-k")
+        ]
+        assert len(read_off) == 68
+        assert all(r.millis == 0.0 for r in read_off)
 
     def test_record_fields_and_immutability(self):
         assert CaseRow._fields == (
