@@ -279,22 +279,6 @@ def canonical_form(g: Graph) -> tuple:
     return _least_code(g)[0]
 
 
-def relabeling(g: Graph, h: Graph) -> list[int] | None:
-    """A permutation ``perm`` with ``permute_graph(g, perm) == h``, or None
-    when the two graphs are not isomorphic.
-
-    Both graphs are put in the first vertex order that attains their
-    canonical key; the vertex at each place of ``g``'s order goes to the
-    vertex at that place of ``h``'s. Intended for small graphs, as
-    ``canonical_form``.
-    """
-    key, orders = _least_code(g)
-    other, targets = _least_code(h)
-    if key != other:
-        return None
-    return _carry(orders[0], targets[0])
-
-
 def automorphisms(g: Graph, orders: list[list[int]] | None = None) -> list[tuple[int, ...]]:
     """Every permutation ``perm`` with ``permute_graph(g, perm) == g``, the
     identity first. ``orders``, if given, is ``_least_code(g)[1]``.

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from operator import or_
 
 from .graph import (
     Graph,
@@ -133,14 +134,31 @@ def build_functigraph(base: Graph, fmap: FunctionMap) -> Functigraph:
         raise ValueError("map length does not match the base order")
     if not is_connected(base):
         raise ValueError("functigraph construction requires a connected base graph")
-    n = base.n
-    check_order(2 * n)
-    adj = list(base.adj)
-    adj += [row << n for row in base.adj]
+    check_order(2 * base.n)
+    return Functigraph(_join(_copies(base), _cross_rows(fmap)), base, fmap)
+
+
+def _copies(base: Graph) -> tuple[int, ...]:
+    """The 2n rows of two copies of ``base``, with no cross edge."""
+    return base.adj + tuple(row << base.n for row in base.adj)
+
+
+def _cross_rows(fmap: FunctionMap) -> list[int]:
+    """The 2n rows of the cross edges of ``fmap`` alone: each (u, n + f(u))
+    is set in both of its rows."""
+    n = fmap.n
+    rows = [1 << n + t for t in fmap.targets] + [0] * n
     for u, t in enumerate(fmap.targets):
-        adj[u] |= 1 << (n + t)
-        adj[n + t] |= 1 << u
-    return Functigraph(Graph._trusted(2 * n, tuple(adj)), base, fmap)
+        rows[n + t] |= 1 << u
+    return rows
+
+
+def _join(copies: tuple[int, ...], cross: list[int]) -> Graph:
+    """The functigraph with rows ``copies`` ORed with ``cross``, unvalidated
+    (see ``build_functigraph`` for why it is valid)."""
+    # built at its final size through a list: ``tuple(map(...))`` grows a
+    # smaller tuple, and the 2n-tuples it frees pile up in CPython's free list
+    return Graph._trusted(len(copies), tuple([*map(or_, copies, cross)]))
 
 
 def preimage_signature(fmap: FunctionMap) -> Signature:

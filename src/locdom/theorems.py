@@ -45,7 +45,7 @@ from .families import (
     signatures,
     star_graph,
 )
-from .functigraph import FunctionMap, Signature, build_functigraph
+from .functigraph import FunctionMap, Signature, _copies, _cross_rows, _join, build_functigraph
 from .graph import MAX_ORDER, Graph, is_connected
 from .solver import lambda_exact, minimum_layer
 
@@ -355,10 +355,14 @@ def verify_suite(
     deterministic map sample.
 
     The sweep runs in one process and solves the cases in order. The bounds
-    cases are streamed: each is built, solved and turned into its row in
-    turn, so none outlives its row. ``workers`` is kept only so that callers
-    passing ``workers=1`` (the benchmark's worker does) keep working; any
-    other value raises ``ValueError`` before a case is built.
+    rows are streamed: each instance is built, solved and turned into its
+    row in turn, so none outlives its row. A ``bounds-range`` row's
+    ``millis`` is the wall time spent producing it (build and solve, or
+    derivation), any other solved row's the solve alone.
+
+    ``workers`` is kept only so that callers passing ``workers=1`` (the
+    benchmark's worker does) keep working; any other value raises
+    ``ValueError`` before a case is built.
     """
     if workers != 1:
         raise ValueError(
@@ -421,6 +425,17 @@ def _hi_cases(n_max: int) -> list[TheoremCase]:
 
 
 def _bounds_rows(n_max: int, rng: random.Random) -> Iterator[CaseRow]:
+    """The bounds section's rows for each n: the sharp instances, then the
+    ``bounds-range`` rows, from ``_relabeled_rows`` on at most 4 vertices.
+
+    On larger n each class representative is joined to each sampled map:
+    its copy rows are built once per base and each map's cross rows once
+    per n. ``minimum_layer`` solves the join, and its highest position,
+    the lex-least minimum set, is read through the half tables ``ones``
+    and ``twos`` that ``_relabeled_rows`` shares. A row's ``millis`` is
+    the wall time of its join, solve and witness read, in whole ns over 1e6.
+    """
+    clock = time.perf_counter_ns
     for n in range(3, n_max + 1):
         bounds = predicted_bounds_functigraph(n)
         if n == 3:
@@ -446,29 +461,39 @@ def _bounds_rows(n_max: int, rng: random.Random) -> Iterator[CaseRow]:
                 "stars with a constant map onto the center attain 2n-2",
             )
         )
+        # n-bit half of a position -> the members it stands for, in either copy
+        ones = [tuple(v for v in range(n) if x >> n - 1 - v & 1) for x in range(1 << n)]
+        twos = [tuple(n + v for v in members) for members in ones]
         if n <= 4:
-            yield from _relabeled_rows(n, bounds)
+            yield from _relabeled_rows(n, bounds, ones, twos)
             continue
-        bases = nonisomorphic_connected_graphs(n)
+        predicted = f"{bounds.lower}..{bounds.upper}"
+        low = (1 << n) - 1
         maps = _sampled_maps(n, rng)
+        crosses = [_cross_rows(fmap) for fmap in maps]
         map_strs = [_map_str(fmap) for fmap in maps]
-        for base in bases:
-            edges = _edge_str(base)
-            for fmap, map_str in zip(maps, map_strs):
-                fg = build_functigraph(base, fmap)
-                yield _row(
-                    TheoremCase(
-                        "bounds-range",
-                        n,
-                        f"edges={edges} map={map_str}",
-                        bounds.lower,
-                        bounds.upper,
-                        fg.graph,
-                    )
+        for base in nonisomorphic_connected_graphs(n):
+            copies = _copies(base)
+            prefix = f"edges={_edge_str(base)} map="
+            for cross, map_str in zip(crosses, map_strs):
+                started = clock()
+                value, layer = minimum_layer(_join(copies, cross))
+                top = layer.bit_length() - 1
+                yield CaseRow(
+                    "bounds-range",
+                    n,
+                    prefix + map_str,
+                    predicted,
+                    value,
+                    bounds.lower <= value <= bounds.upper,
+                    (clock() - started) / 1e6,
+                    ones[top >> n] + twos[top & low],
                 )
 
 
-def _relabeled_rows(n: int, bounds: FunctigraphBounds) -> Iterator[CaseRow]:
+def _relabeled_rows(
+    n: int, bounds: FunctigraphBounds, ones: list[tuple], twos: list[tuple]
+) -> Iterator[CaseRow]:
     """``bounds-range`` rows of every connected labeled base on n vertices
     under every map, in ``all_graphs`` then ``all_maps`` order.
 
@@ -491,9 +516,6 @@ def _relabeled_rows(n: int, bounds: FunctigraphBounds) -> Iterator[CaseRow]:
     maps = list(all_maps(n))
     map_strs = [_map_str(fmap) for fmap in maps]
     predicted = f"{bounds.lower}..{bounds.upper}"
-    # n-bit half of a position -> the members it stands for, in either copy
-    ones = [tuple(v for v in range(n) if x >> n - 1 - v & 1) for x in range(1 << n)]
-    twos = [tuple(n + v for v in members) for members in ones]
     low = (1 << n) - 1
     # permutation p -> half table: entry x is half x with each vertex v moved
     # to p[v]

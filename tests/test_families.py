@@ -9,6 +9,8 @@ from hypothesis import strategies as st
 
 from locdom.families import (
     FamilySpec,
+    _carry,
+    _least_code,
     all_graphs,
     all_maps,
     automorphisms,
@@ -29,7 +31,6 @@ from locdom.families import (
     random_connected_graph,
     random_graph,
     random_map_with_signature,
-    relabeling,
     signature_map,
     signatures,
     star_graph,
@@ -270,6 +271,14 @@ class TestEnumeration:
             assert canonical_form(permute_graph(g, perm)) == canonical_form(g)
 
     def test_relabeling_maps_one_graph_onto_the_other(self):
+        # the exhaustive bounds sweep relabels a class's first base onto each
+        # other base by carrying the first least-code order of one onto the
+        # first of the other
+        def relabeling(g, h):
+            (key, orders), (other, targets) = _least_code(g), _least_code(h)
+            assert key == other
+            return _carry(orders[0], targets[0])
+
         rng = random.Random(19)
         for _ in range(60):
             g = random_graph(rng, rng.randint(1, 6), rng.uniform(0.2, 0.8))
@@ -279,19 +288,18 @@ class TestEnumeration:
             found = relabeling(g, h)
             assert sorted(found) == list(range(g.n))
             assert permute_graph(g, found) == h
-        # every labeled graph on up to 4 vertices against the first of each class
-        for n in range(1, 5):
+            assert permute_graph(h, relabeling(h, g)) == g
+        # every labeled graph on up to 4 vertices against the first of its
+        # class; the keys split the graphs into the 1, 2, 4 and 11 classes
+        for n, classes in zip(range(1, 5), (1, 2, 4, 11)):
             firsts = {}
             for g in all_graphs(n):
                 firsts.setdefault(canonical_form(g), g)
-            assert all(relabeling(g, g) == list(range(n)) for g in firsts.values())
+            assert len(firsts) == classes
             for h in all_graphs(n):
-                for key, g in firsts.items():
-                    found = relabeling(g, h)
-                    if key == canonical_form(h):
-                        assert permute_graph(g, found) == h
-                    else:
-                        assert found is None
+                g = firsts[canonical_form(h)]
+                assert permute_graph(g, relabeling(g, h)) == h
+                assert permute_graph(h, relabeling(h, g)) == g
 
     def test_random_connected_is_connected_and_seeded(self):
         a = random_connected_graph(random.Random(9), 8)

@@ -3,6 +3,7 @@ import hashlib
 import io
 import json
 import math
+import random
 
 import pytest
 
@@ -269,6 +270,73 @@ class TestVerifySuite:
                 result.lambda_,
                 result.witness.members,
             ), row.params
+
+    @pytest.mark.parametrize("seed", [0, 23])
+    def test_sampled_bounds_rows_match_their_own_solves(self, seed):
+        # bases on 5 and 6 vertices are joined straight from a class
+        # representative's rows and a map's cross rows; each row must equal a
+        # solve of its own functigraph: every row on 5 vertices, a seeded
+        # sample of those on 6
+        config = VerifyConfig(
+            n_max_complete=1, n_max_hi=3, n_max_bounds=6, include_gap_lemma=False
+        )
+        rows = [
+            r
+            for r in verify_suite(config, sample_seed=seed).rows
+            if r.case_id == "bounds-range" and r.n >= 5
+        ]
+        rng = random.Random(seed)
+        sampled = {n: len(theorems._sampled_maps(n, rng)) for n in (5, 6)}
+        five = [r for r in rows if r.n == 5]
+        six = [r for r in rows if r.n == 6]
+        assert (len(five), len(six)) == (21 * sampled[5], 112 * sampled[6])
+        assert len({r.params for r in rows}) == len(rows)
+        for row in five + random.Random(seed).sample(six, 400):
+            edges, _, targets = row.params.removeprefix("edges=").partition(" map=")
+            pairs = [tuple(map(int, edge.split("-"))) for edge in edges.split()]
+            base = Graph.from_edges(row.n, pairs)
+            fmap = FunctionMap(row.n, tuple(map(int, targets.split(","))))
+            result = lambda_exact(build_functigraph(base, fmap).graph)
+            assert (row.computed, row.witness) == (
+                result.lambda_,
+                result.witness.members,
+            ), row.params
+            assert row.match == (3 <= row.computed <= 2 * row.n - 2)
+            assert row.predicted == f"3..{2 * row.n - 2}"
+
+    @pytest.mark.parametrize(
+        "config, builds, solves, class_orders",
+        [(VerifyConfig(), 328, 90, [5]), (VerifyConfig(n_max_bounds=6), 329, 91, [5, 6])],
+        ids=["default", "bounds6"],
+    )
+    def test_sampled_bounds_rows_skip_the_functigraph_records(
+        self, monkeypatch, config, builds, solves, class_orders
+    ):
+        # the sampled rows on 5 and 6 vertices neither build a Functigraph
+        # nor call lambda_exact; the parent sweep made 664 and 426 such calls
+        # at the default config, 3,017 and 2,779 at n_max_bounds = 6
+        calls = {"build": 0, "solve": 0}
+        orders = []
+        build, solve = theorems.build_functigraph, theorems.lambda_exact
+        classes = theorems.nonisomorphic_connected_graphs
+
+        def counted_build(*args):
+            calls["build"] += 1
+            return build(*args)
+
+        def counted_solve(*args):
+            calls["solve"] += 1
+            return solve(*args)
+
+        def counted_classes(n):
+            orders.append(n)
+            return classes(n)
+
+        monkeypatch.setattr(theorems, "build_functigraph", counted_build)
+        monkeypatch.setattr(theorems, "lambda_exact", counted_solve)
+        monkeypatch.setattr(theorems, "nonisomorphic_connected_graphs", counted_classes)
+        verify_suite(config)
+        assert (calls["build"], calls["solve"], orders) == (builds, solves, class_orders)
 
     def test_exhaustive_bounds_solve_one_map_per_orbit(self, monkeypatch):
         # one solve per orbit of f -> sigma f tau under the automorphisms of
