@@ -135,7 +135,10 @@ def build_functigraph(base: Graph, fmap: FunctionMap) -> Functigraph:
     if not is_connected(base):
         raise ValueError("functigraph construction requires a connected base graph")
     check_order(2 * base.n)
-    return Functigraph(_join(_copies(base), _cross_rows(fmap)), base, fmap)
+    # built at its final size through a list: ``tuple(map(...))`` grows a
+    # smaller tuple, and the 2n-tuples it frees pile up in CPython's free list
+    rows = tuple([*map(or_, _copies(base), _cross_rows(fmap))])
+    return Functigraph(Graph._trusted(2 * base.n, rows), base, fmap)
 
 
 def _copies(base: Graph) -> tuple[int, ...]:
@@ -153,12 +156,31 @@ def _cross_rows(fmap: FunctionMap) -> list[int]:
     return rows
 
 
-def _join(copies: tuple[int, ...], cross: list[int]) -> Graph:
-    """The functigraph with rows ``copies`` ORed with ``cross``, unvalidated
-    (see ``build_functigraph`` for why it is valid)."""
-    # built at its final size through a list: ``tuple(map(...))`` grows a
-    # smaller tuple, and the 2n-tuples it frees pile up in CPython's free list
-    return Graph._trusted(len(copies), tuple([*map(or_, copies, cross)]))
+def _base_parts(base: Graph) -> list[int]:
+    """The base parts of the constraint rows of every functigraph of ``base``.
+
+    The copy rows C and cross rows X of a functigraph have disjoint supports,
+    so its rows are C ^ X and each constraint row of ``solver`` is the XOR of
+    a base part and the map part of ``_map_parts`` at the same index: N[v]
+    is (C[v] | 1 << v) ^ X[v], and the pair row of u < v, with p their two
+    bits, is (p | C[u] ^ C[v]) ^ ((X[u] ^ X[v]) & ~p). The vertex rows come
+    first, then the pairs in (u, v) order.
+    """
+    rows = _copies(base)
+    parts = [row | 1 << v for v, row in enumerate(rows)]
+    for u, ru in enumerate(rows):
+        parts += [1 << u | 1 << v | ru ^ rows[v] for v in range(u + 1, len(rows))]
+    return parts
+
+
+def _map_parts(fmap: FunctionMap) -> list[int]:
+    """The map parts of the constraint rows of every functigraph under
+    ``fmap``, matching ``_base_parts`` index by index."""
+    rows = _cross_rows(fmap)
+    parts = rows[:]
+    for u, ru in enumerate(rows):
+        parts += [(ru ^ rows[v]) & ~(1 << u | 1 << v) for v in range(u + 1, len(rows))]
+    return parts
 
 
 def preimage_signature(fmap: FunctionMap) -> Signature:

@@ -14,7 +14,10 @@ Predictions cover three instance families:
 reports one row per comparison; a mismatch is a report row, never an
 exception. Each instance is solved exactly, except that on bases of at
 most 4 vertices one instance per symmetry orbit is solved and the others
-take its value and witness (see ``_relabeled_rows``).
+take its value and witness (see ``_relabeled_rows``). The sampled instances
+on larger bases are solved from their constraint rows alone, each the XOR
+of a base part and a map part, with no functigraph built (see
+``_bounds_rows``).
 """
 
 from __future__ import annotations
@@ -25,6 +28,7 @@ import time
 from collections import namedtuple
 from dataclasses import dataclass, field
 from itertools import chain
+from operator import xor
 from typing import IO, Iterator
 
 from .families import (
@@ -45,9 +49,9 @@ from .families import (
     signatures,
     star_graph,
 )
-from .functigraph import FunctionMap, Signature, _copies, _cross_rows, _join, build_functigraph
+from .functigraph import FunctionMap, Signature, _base_parts, _map_parts, build_functigraph
 from .graph import MAX_ORDER, Graph, is_connected
-from .solver import lambda_exact, minimum_layer
+from .solver import _fold_layer, lambda_exact, minimum_layer
 
 SATURATED = "saturated"
 TWIN_PAIR = "twin-pair"
@@ -355,9 +359,10 @@ def verify_suite(
     deterministic map sample.
 
     The sweep runs in one process and solves the cases in order. The bounds
-    rows are streamed: each instance is built, solved and turned into its
-    row in turn, so none outlives its row. A ``bounds-range`` row's
-    ``millis`` is the wall time spent producing it (build and solve, or
+    rows are streamed: each instance is solved and turned into its row in
+    turn, so none outlives its row. A ``bounds-range`` row's ``millis`` is
+    the wall time spent producing it (the build and solve of an orbit
+    representative, the fold, solve and witness read of a sampled map, or a
     derivation), any other solved row's the solve alone.
 
     ``workers`` is kept only so that callers passing ``workers=1`` (the
@@ -428,12 +433,14 @@ def _bounds_rows(n_max: int, rng: random.Random) -> Iterator[CaseRow]:
     """The bounds section's rows for each n: the sharp instances, then the
     ``bounds-range`` rows, from ``_relabeled_rows`` on at most 4 vertices.
 
-    On larger n each class representative is joined to each sampled map:
-    its copy rows are built once per base and each map's cross rows once
-    per n. ``minimum_layer`` solves the join, and its highest position,
-    the lex-least minimum set, is read through the half tables ``ones``
-    and ``twos`` that ``_relabeled_rows`` shares. A row's ``millis`` is
-    the wall time of its join, solve and witness read, in whole ns over 1e6.
+    On larger n each class representative is solved under each sampled map
+    with no functigraph built: its constraint rows are the XOR of the base
+    parts, built once per base, and the map parts, built once per map and n
+    (see ``functigraph._base_parts``). ``solver._fold_layer`` solves those
+    rows, and the layer's highest position, the lex-least minimum set, is
+    read through the half tables ``ones`` and ``twos`` that
+    ``_relabeled_rows`` shares. A row's ``millis`` is the wall time of its
+    fold, solve and witness read, in whole ns over 1e6.
     """
     clock = time.perf_counter_ns
     for n in range(3, n_max + 1):
@@ -470,14 +477,14 @@ def _bounds_rows(n_max: int, rng: random.Random) -> Iterator[CaseRow]:
         predicted = f"{bounds.lower}..{bounds.upper}"
         low = (1 << n) - 1
         maps = _sampled_maps(n, rng)
-        crosses = [_cross_rows(fmap) for fmap in maps]
+        map_parts = [_map_parts(fmap) for fmap in maps]
         map_strs = [_map_str(fmap) for fmap in maps]
         for base in nonisomorphic_connected_graphs(n):
-            copies = _copies(base)
+            base_parts = _base_parts(base)
             prefix = f"edges={_edge_str(base)} map="
-            for cross, map_str in zip(crosses, map_strs):
+            for parts, map_str in zip(map_parts, map_strs):
                 started = clock()
-                value, layer = minimum_layer(_join(copies, cross))
+                value, layer = _fold_layer(2 * n, map(xor, base_parts, parts))
                 top = layer.bit_length() - 1
                 yield CaseRow(
                     "bounds-range",

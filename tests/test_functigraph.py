@@ -22,6 +22,8 @@ from locdom.functigraph import (
     MID_WITH_MATCHING,
     FunctionMap,
     Signature,
+    _base_parts,
+    _map_parts,
     build_functigraph,
     classify,
     functi_matchings,
@@ -37,6 +39,7 @@ from locdom.graph import (
     is_connected,
     twin_partition,
 )
+from locdom.solver import _fold_layer, minimum_layer
 
 
 class TestFunctionMap:
@@ -178,6 +181,49 @@ class TestBuild:
             for u in range(n):
                 assert fg.graph.degree(u) == base.degree(u) + 1
                 assert fg.graph.degree(n + u) == base.degree(u) + preimage_size[u]
+
+
+def _row_part_cases():
+    """Every connected labeled base on 3 to 5 vertices under seeded maps, with
+    a constant and a bijection among each base's maps, and random connected
+    bases on 6 vertices."""
+    rng = random.Random(17)
+    cases = []
+    for n in (3, 4, 5):
+        for base in connected_graphs(n):
+            maps = [constant_map(n, rng.randrange(n)), signature_map((1,) * n)]
+            maps += [FunctionMap(n, tuple(rng.randrange(n) for _ in range(n)))]
+            cases += [(base, fmap) for fmap in maps]
+    for _ in range(60):
+        fmap = FunctionMap(6, tuple(rng.randrange(6) for _ in range(6)))
+        cases.append((random_connected_graph(rng, 6), fmap))
+    return cases
+
+
+class TestRowParts:
+    """The constraint rows of a functigraph are its base parts XORed with its
+    map parts, so a sampled row is solved without building the functigraph."""
+
+    def test_xored_parts_are_the_constraint_rows(self):
+        # under every map the cross rows of u and n + f(u) hold each other,
+        # so their XOR holds both bits of that pair: the mask of the map part
+        # is what keeps those bits of the base part set in the row
+        for base, fmap in _row_part_cases():
+            adj = build_functigraph(base, fmap).graph.adj
+            rows = [a | 1 << v for v, a in enumerate(adj)]
+            rows += [
+                1 << u | 1 << v | adj[u] ^ adj[v]
+                for u in range(len(adj))
+                for v in range(u + 1, len(adj))
+            ]
+            parts = list(map(int.__xor__, _base_parts(base), _map_parts(fmap)))
+            assert sorted(parts) == sorted(rows), (base.edges(), fmap.targets)
+
+    def test_fold_is_minimum_layer(self):
+        for base, fmap in _row_part_cases():
+            rows = map(int.__xor__, _base_parts(base), _map_parts(fmap))
+            g = build_functigraph(base, fmap).graph
+            assert _fold_layer(g.n, rows) == minimum_layer(g), (base.edges(), fmap.targets)
 
 
 class TestSignatureOps:

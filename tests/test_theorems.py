@@ -313,11 +313,14 @@ class TestVerifySuite:
         self, monkeypatch, config, builds, solves, class_orders
     ):
         # the sampled rows on 5 and 6 vertices neither build a Functigraph
-        # nor call lambda_exact; the parent sweep made 664 and 426 such calls
-        # at the default config, 3,017 and 2,779 at n_max_bounds = 6
-        calls = {"build": 0, "solve": 0}
+        # nor call lambda_exact or minimum_layer: they fold their XORed row
+        # parts. Sweeps that built them made 664 and 426 build and solve
+        # calls at the default config, 3,017 and 2,779 at n_max_bounds = 6;
+        # minimum_layer solves only the 245 orbit representatives on 3 and 4
+        calls = {"build": 0, "solve": 0, "layer": 0}
         orders = []
         build, solve = theorems.build_functigraph, theorems.lambda_exact
+        layer = theorems.minimum_layer
         classes = theorems.nonisomorphic_connected_graphs
 
         def counted_build(*args):
@@ -328,15 +331,21 @@ class TestVerifySuite:
             calls["solve"] += 1
             return solve(*args)
 
+        def counted_layer(*args):
+            calls["layer"] += 1
+            return layer(*args)
+
         def counted_classes(n):
             orders.append(n)
             return classes(n)
 
         monkeypatch.setattr(theorems, "build_functigraph", counted_build)
         monkeypatch.setattr(theorems, "lambda_exact", counted_solve)
+        monkeypatch.setattr(theorems, "minimum_layer", counted_layer)
         monkeypatch.setattr(theorems, "nonisomorphic_connected_graphs", counted_classes)
         verify_suite(config)
         assert (calls["build"], calls["solve"], orders) == (builds, solves, class_orders)
+        assert calls["layer"] == 245
 
     def test_exhaustive_bounds_solve_one_map_per_orbit(self, monkeypatch):
         # one solve per orbit of f -> sigma f tau under the automorphisms of
