@@ -19,6 +19,7 @@ from .graph import (
     graph_to_json_dict,
     is_connected,
 )
+from .solver import _constraint_rows
 
 CONSTANT = "constant"
 BIJECTIVE = "bijective"
@@ -164,13 +165,10 @@ def _base_parts(base: Graph) -> list[int]:
     a base part and the map part of ``_map_parts`` at the same index: N[v]
     is (C[v] | 1 << v) ^ X[v], and the pair row of u < v, with p their two
     bits, is (p | C[u] ^ C[v]) ^ ((X[u] ^ X[v]) & ~p). The vertex rows come
-    first, then the pairs in (u, v) order.
+    first, then the pairs in (u, v) order: the base parts are the
+    ``solver._constraint_rows`` of the two copies alone.
     """
-    rows = _copies(base)
-    parts = [row | 1 << v for v, row in enumerate(rows)]
-    for u, ru in enumerate(rows):
-        parts += [1 << u | 1 << v | ru ^ rows[v] for v in range(u + 1, len(rows))]
-    return parts
+    return _constraint_rows(_copies(base))
 
 
 def _map_parts(fmap: FunctionMap) -> list[int]:

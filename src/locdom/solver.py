@@ -10,15 +10,15 @@ or has a neighbor in L) and ``{u, v} | (N(u) ^ N(v))`` (u or v is in L, or L
 tells them apart). ``lambda_exact`` solves that model in one of two ways,
 chosen by the order n alone:
 
-* n <= ``TABLE_MAX_ORDER``: a table pass decides all ``2**n`` subsets at
-  once. It holds them as the bits of one integer and ANDs in, row by row,
-  the subsets that hit the row, read with one lookup from a precomputed
-  per-order table indexed by the row itself. The value and the
-  lexicographically least witness are then read off precomputed size
-  layers. ``stats.sets_tested`` is ``2**n`` and
-  ``use_twin_pruning`` changes nothing. ``minimum_layer`` returns the same
-  pass's whole minimum layer, every locating-dominating set of least size,
-  and ``_fold_layer`` the same from constraint rows given without a graph.
+* n <= ``TABLE_MAX_ORDER``: ``_fold_layer`` decides all ``2**n`` subsets
+  at once, the one subset-table pass. It holds them as the bits of one
+  integer and ANDs in, row by row, the subsets that hit the row, read with
+  one lookup from a precomputed per-order table indexed by the row itself.
+  The rows come from ``_constraint_rows``, or for a sampled functigraph as
+  XORed base and map parts (see ``functigraph._base_parts``). The value
+  and every minimum set, so the lexicographically least witness, are then
+  read off precomputed size layers. ``stats.sets_tested`` is ``2**n`` and
+  ``use_twin_pruning`` changes nothing.
 * larger n: branch and bound. A pair row whose ends have no common neighbor
   contains ``N[u]``, so it is implied and left out. The rows are numbered
   by size, then by value, so a node's unhit rows are one integer over row
@@ -35,15 +35,18 @@ chosen by the order n alone:
   same search then turns the hit into the lexicographically least one,
   deciding the vertices in index order (see ``_lambda_search``).
 
-Both start from the larger of two sound lower bounds, reported as
-``stats.pruned_cardinalities_skipped``:
+Both report the larger of two sound lower bounds as
+``stats.pruned_cardinalities_skipped``. The search starts from it; the
+table's size walk starts from the counting bound, since the twin core moves
+only the start, not the first size with a set:
 
 * counting: the outside vertices need pairwise distinct nonempty subsets of
   L, so ``order - size <= 2**size - 1`` must hold for any hit;
 * twins: u < v are twins when ``N(u) = N(v)`` or ``N[u] = N[v]``, which is
   when their pair row is just ``{u, v}``. Swapping twins is an
   automorphism, so the lexicographically least solution of each size
-  contains every such u; that forced twin core may seed the search.
+  contains every such u; that forced twin core (``_twin_core``) may seed
+  the search.
 
 ``lambda_oracle`` is the trust anchor: a plain unpruned enumeration of all
 subsets in ascending cardinality, kept free of every shortcut used by the
@@ -158,8 +161,9 @@ def lambda_exact(
     """Exact location-domination number with the lexicographically least witness.
 
     Graphs of order at most ``TABLE_MAX_ORDER`` go to ``_lambda_table``, which
-    decides all ``2**n`` subsets at once: there ``stats.sets_tested`` is
-    ``2**n`` and ``use_twin_pruning`` changes nothing. Larger graphs go to the
+    folds their ``_constraint_rows`` in ``_fold_layer`` and so decides all
+    ``2**n`` subsets at once: there ``stats.sets_tested`` is ``2**n`` and
+    ``use_twin_pruning`` changes nothing. Larger graphs go to the
     branch and bound of ``_lambda_search``, where ``stats.sets_tested`` counts
     search nodes. Both give the same value, witness and start bound.
     ``deterministic_witness`` is kept for compatibility and changes nothing.
@@ -170,7 +174,7 @@ def lambda_exact(
 
 
 def _tables(n: int) -> tuple[list[int], list[int]]:
-    """Subset tables of order ``n`` for ``_lambda_table``, built on first use.
+    """Subset tables of order ``n`` for ``_fold_layer``, built on first use.
 
     Each table entry is a ``2**n``-bit integer whose bit p stands for the set
     that holds vertex v iff bit ``n - 1 - v`` of p is set. ``hits[k]`` marks
@@ -201,64 +205,48 @@ def _tables(n: int) -> tuple[list[int], list[int]]:
     return tables
 
 
-def _table_pass(g: Graph) -> tuple[int, int, int]:
-    """(value, minimum layer, start bound) of a graph of order ``<= TABLE_MAX_ORDER``.
+def _constraint_rows(adj: tuple[int, ...]) -> list[int]:
+    """The constraint rows of the graph with rows ``adj``: ``N[v]`` for each
+    v, then ``{u, v} | (N(u) ^ N(v))`` for each u < v in (u, v) order.
 
-    ``ok`` starts as every subset and is ANDed with the sets that hit each
-    constraint row, so it ends as the locating-dominating sets. Implied pair
-    rows cost one AND each and are not filtered out. The twin core is read
-    off the same pair rows, for the start bound alone. The value is the
-    first size from the start bound with a set in ``ok``, and the minimum
-    layer is ``ok`` cut to that size: every locating-dominating set of
-    minimum size, as positions in the bit order of ``_tables``.
+    Implied pair rows are kept: in ``_fold_layer`` each costs one AND.
     """
-    n = g.n
-    adj = g.adj
-    hits, layers = _tables(n)
-    ok = -1
-    for v in range(n):
-        ok &= hits[adj[v] | 1 << v]
+    n = len(adj)
+    rows = [a | 1 << v for v, a in enumerate(adj)]
+    # one comprehension over all pairs: one per u was about a third slower
+    rows += [1 << u | 1 << v | au ^ adj[v] for u, au in enumerate(adj) for v in range(u + 1, n)]
+    return rows
+
+
+def _twin_core(adj: tuple[int, ...]) -> int:
+    """The forced twin core of the graph with rows ``adj``: every vertex with
+    a twin above it.
+
+    u < v are twins when ``N(u) = N(v)`` or ``N[u] = N[v]``. No N(u) equals
+    an N[v]: v in N[v] = N(u) would put u in N[v] = N(u). So both kinds of
+    key share one table.
+    """
     core = 0
-    for u in range(n):
-        au = adj[u]
-        for v in range(u + 1, n):
-            pair = 1 << u | 1 << v
-            row = pair | au ^ adj[v]
-            if row == pair:
-                core |= 1 << u
-            ok &= hits[row]
-    start = max(info_lower_bound(n), core.bit_count())
-    size = start
-    while not (found := ok & layers[size]):
-        size += 1
-    return size, found, start
-
-
-def minimum_layer(g: Graph) -> tuple[int, int]:
-    """The value of ``g`` and every locating-dominating set of that size.
-
-    The sets come as one integer whose bit p stands for the set that holds
-    vertex v iff bit ``g.n - 1 - v`` of p is set, so of two sets of one size
-    the lex-lesser sits higher. Only graphs of order at most
-    ``TABLE_MAX_ORDER`` are accepted.
-    """
-    if g.n > TABLE_MAX_ORDER:
-        raise ValueError(f"order {g.n} exceeds the table order {TABLE_MAX_ORDER}")
-    size, found, _ = _table_pass(g)
-    return size, found
+    last: dict[int, int] = {}
+    for v, a in enumerate(adj):
+        bit = 1 << v
+        core |= last.get(a, 0) | last.get(a | bit, 0)
+        last[a] = last[a | bit] = bit
+    return core
 
 
 def _fold_layer(order: int, rows: Iterable[int]) -> tuple[int, int]:
-    """``minimum_layer`` of the graph of order ``order <= TABLE_MAX_ORDER``
-    whose constraint rows are ``rows``, without the graph.
+    """(value, minimum layer) of the graph of order ``order <= TABLE_MAX_ORDER``
+    whose constraint rows are ``rows``.
 
-    One ``reduce`` ANDs in the sets hitting each row, and the size walk
-    starts at the counting bound: the twin core moves only the start, not
-    the first size with a set. This pays off only on rows that come
-    ready-made, as the XORed parts of ``functigraph._base_parts`` and
-    ``_map_parts`` do; rows read off adjacency into a list to fold were
-    16-67% slower than the fused loop of ``_table_pass`` on random
-    functigraphs of order 6 to 12, so graphs go through that loop.
+    ``ok`` starts as every subset and one ``reduce`` ANDs in the sets hitting
+    each row, so it ends as the locating-dominating sets. The value is the
+    first size from the counting bound with a set in ``ok``: the twin core
+    moves only the start, not the first size with a set. The minimum layer is
+    ``ok`` cut to that size, every locating-dominating set of least size, as
+    one integer whose bit p stands for the set that holds vertex v iff bit
+    ``order - 1 - v`` of p is set; of two sets of one size the lex-lesser
+    sits higher.
     """
     hits, layers = _tables(order)
     ok = reduce(and_, map(hits.__getitem__, rows))
@@ -271,14 +259,18 @@ def _fold_layer(order: int, rows: Iterable[int]) -> tuple[int, int]:
 def _lambda_table(g: Graph) -> SolveResult:
     """Bit-parallel pass over all subsets, for graphs of order ``<= TABLE_MAX_ORDER``.
 
-    In the bit order of ``_tables`` vertex 0 is the highest bit, so of two
-    sets of one size the one holding the first vertex where they differ,
-    the lex-lesser, sits higher. The witness is the highest position of the
-    minimum layer of ``_table_pass``.
+    The rows of ``_constraint_rows`` are folded by ``_fold_layer``; the start
+    bound in ``stats`` comes from ``_twin_core``. The witness is the highest
+    position of the minimum layer, the lex-least minimum set. Building the
+    rows into a list before the fold costs about 5 µs per solve over one
+    loop fusing the two: 0.3 ms over the 54 table solves of a default verify
+    sweep, about 0.3% of it, the price of a single table pass.
     """
     started = time.perf_counter()
     n = g.n
-    size, found, start = _table_pass(g)
+    adj = g.adj
+    size, found = _fold_layer(n, _constraint_rows(adj))
+    start = max(info_lower_bound(n), _twin_core(adj).bit_count())
     witness = int(f"{found.bit_length() - 1:0{n}b}"[::-1], 2)
     elapsed = time.perf_counter() - started
     return SolveResult(size, VertexSet(n, witness), SearchStats(1 << n, start, elapsed))
@@ -347,15 +339,7 @@ def _lambda_search(g: Graph, use_twin_pruning: bool = True) -> SolveResult:
     n = g.n
     adj = g.adj
     full = (1 << n) - 1
-    # u < v are twins when N(u) = N(v) or N[u] = N[v]; the core is every
-    # vertex with a twin above it. No N(u) equals an N[v]: v in N[v] = N(u)
-    # would put u in N[v] = N(u). So both kinds of key share one table
-    core = 0
-    last: dict[int, int] = {}
-    for v, a in enumerate(adj):
-        bit = 1 << v
-        core |= last.get(a, 0) | last.get(a | bit, 0)
-        last[a] = last[a | bit] = bit
+    core = _twin_core(adj)
     start = max(info_lower_bound(n), core.bit_count())
     fixed = core if use_twin_pruning else 0
     # rows the fixed vertices already hit are left out

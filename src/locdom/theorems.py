@@ -14,10 +14,10 @@ Predictions cover three instance families:
 reports one row per comparison; a mismatch is a report row, never an
 exception. Each instance is solved exactly, except that on bases of at
 most 4 vertices one instance per symmetry orbit is solved and the others
-take its value and witness (see ``_relabeled_rows``). The sampled instances
-on larger bases are solved from their constraint rows alone, each the XOR
-of a base part and a map part, with no functigraph built (see
-``_bounds_rows``).
+take its value and witness (see ``_relabeled_rows``). The bounds-range
+instances, those orbit representatives and the sampled instances on larger
+bases, are solved from their constraint rows alone, each the XOR of a base
+part and a map part, with no functigraph built (see ``_bounds_rows``).
 """
 
 from __future__ import annotations
@@ -51,7 +51,7 @@ from .families import (
 )
 from .functigraph import FunctionMap, Signature, _base_parts, _map_parts, build_functigraph
 from .graph import MAX_ORDER, Graph, is_connected
-from .solver import _fold_layer, lambda_exact, minimum_layer
+from .solver import _fold_layer, lambda_exact
 
 SATURATED = "saturated"
 TWIN_PAIR = "twin-pair"
@@ -361,7 +361,7 @@ def verify_suite(
     The sweep runs in one process and solves the cases in order. The bounds
     rows are streamed: each instance is solved and turned into its row in
     turn, so none outlives its row. A ``bounds-range`` row's ``millis`` is
-    the wall time spent producing it (the build and solve of an orbit
+    the wall time spent producing it (the fold and solve of an orbit
     representative, the fold, solve and witness read of a sampled map, or a
     derivation), any other solved row's the solve alone.
 
@@ -512,12 +512,15 @@ def _relabeled_rows(
     under g reads h = perm^-1 g perm = sigma h0 tau. Its locating-dominating
     sets are those of F(G, h0) moved by perm tau^-1 on copy one and by perm
     sigma on copy two, and its witness is the lex-least image of h0's
-    minimum sets. In the position order of ``minimum_layer`` each n-bit
-    half of a position is moved by the table of its copy's permutation, and
-    the lex-least image is the highest. One ``_least_code`` per base gives
-    its class, ``perm`` and, for G, the automorphisms. A row's ``millis``
-    is the wall time spent producing it, in whole ns over 1e6: the build
-    and solve for G under h0, the derivation for every other row.
+    minimum sets. G under h0 is solved with no functigraph built: its
+    constraint rows, the XOR of G's base parts, kept with its class, and
+    h0's map parts, go to ``solver._fold_layer``. In the position order of
+    that fold's minimum layer each n-bit half of a position is moved by the
+    table of its copy's permutation, and the lex-least image is the highest.
+    One ``_least_code`` per base gives its class, ``perm`` and, for G, the
+    automorphisms. A row's ``millis`` is the wall time spent producing it,
+    in whole ns over 1e6: the fold and solve for G under h0, the derivation
+    for every other row.
     """
     clock = time.perf_counter_ns
     maps = list(all_maps(n))
@@ -527,17 +530,19 @@ def _relabeled_rows(
     # permutation p -> half table: entry x is half x with each vertex v moved
     # to p[v]
     tables: dict[tuple[int, ...], list[int]] = {}
-    # class key -> (first order of the first base G, its map_orbits, first
-    # map index of an orbit -> (value, match, the minimum sets as upper
-    # half -> lower halves))
+    # class key -> (first order of the first base G, its map_orbits, its
+    # base parts, first map index of an orbit -> (value, match, the minimum
+    # sets as upper half -> lower halves))
     classes: dict[tuple, tuple] = {}
     for base in all_graphs(n):
         if not is_connected(base):
             continue
         key, orders = _least_code(base)
         if key not in classes:
-            classes[key] = (orders[0], *map_orbits(base, orders), [None] * len(maps))
-        first, auts, orbits, answers = classes[key]
+            classes[key] = (
+                orders[0], *map_orbits(base, orders), _base_parts(base), [None] * len(maps)
+            )
+        first, auts, orbits, base_parts, answers = classes[key]
         perm, inverse = _carry(first, orders[0]), _carry(orders[0], first)
         moved = []
         for aut in auts:
@@ -560,7 +565,7 @@ def _relabeled_rows(
             answer = answers[h0]
             if answer is None:
                 # maps come in all_maps order, so this is G under h0 itself
-                value, layer = minimum_layer(build_functigraph(base, maps[h0]).graph)
+                value, layer = _fold_layer(2 * n, map(xor, base_parts, _map_parts(maps[h0])))
                 halves: dict[int, list[int]] = {}
                 while layer:
                     top = layer.bit_length() - 1

@@ -47,7 +47,7 @@ from locdom.graph import (
     permute_graph,
     twin_partition,
 )
-from locdom.solver import lambda_exact, minimum_layer
+from locdom.solver import _constraint_rows, _fold_layer, lambda_exact
 
 
 class TestFamilies:
@@ -322,7 +322,7 @@ def maps_with_automorphisms(draw):
 
 
 def minimum_sets(g: Graph) -> tuple[int, set[frozenset[int]]]:
-    value, layer = minimum_layer(g)
+    value, layer = _fold_layer(g.n, _constraint_rows(g.adj))
     return value, {
         frozenset(v for v in range(g.n) if p >> g.n - 1 - v & 1) for p in bits(layer)
     }

@@ -39,7 +39,7 @@ from locdom.graph import (
     is_connected,
     twin_partition,
 )
-from locdom.solver import _fold_layer, minimum_layer
+from locdom.solver import _fold_layer, lambda_exact
 
 
 class TestFunctionMap:
@@ -217,13 +217,21 @@ class TestRowParts:
                 for v in range(u + 1, len(adj))
             ]
             parts = list(map(int.__xor__, _base_parts(base), _map_parts(fmap)))
-            assert sorted(parts) == sorted(rows), (base.edges(), fmap.targets)
+            assert parts == rows, (base.edges(), fmap.targets)
 
     def test_fold_is_minimum_layer(self):
+        # the fold's value is the exact one, and the highest set of its
+        # minimum layer, vertex 0 at the top bit, is the lex-least witness
         for base, fmap in _row_part_cases():
             rows = map(int.__xor__, _base_parts(base), _map_parts(fmap))
             g = build_functigraph(base, fmap).graph
-            assert _fold_layer(g.n, rows) == minimum_layer(g), (base.edges(), fmap.targets)
+            value, layer = _fold_layer(g.n, rows)
+            top = layer.bit_length() - 1
+            result = lambda_exact(g)
+            assert (value, {v for v in range(g.n) if top >> g.n - 1 - v & 1}) == (
+                result.lambda_,
+                set(result.witness.members),
+            ), (base.edges(), fmap.targets)
 
 
 class TestSignatureOps:

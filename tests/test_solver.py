@@ -21,6 +21,8 @@ from locdom.functigraph import Signature, build_functigraph
 from locdom.graph import Graph, VertexSet, bits, permute_graph, twin_partition
 from locdom.solver import (
     TABLE_MAX_ORDER,
+    _constraint_rows,
+    _fold_layer,
     _lambda_search,
     _lambda_table,
     _tables,
@@ -28,7 +30,6 @@ from locdom.solver import (
     is_locating_dominating,
     lambda_exact,
     lambda_oracle,
-    minimum_layer,
     trace,
     twin_lower_bound,
 )
@@ -568,12 +569,13 @@ class TestTablePass:
 
 
 class TestMinimumLayer:
-    """``minimum_layer`` must hold every minimum set: the bounds sweep derives
-    relabeled witnesses from it, so a missing set would corrupt only those."""
+    """The minimum layer of ``_fold_layer`` must hold every minimum set: the
+    bounds sweep derives relabeled witnesses from it, so a missing set would
+    corrupt only those."""
 
     @staticmethod
     def check(g):
-        size, layer = minimum_layer(g)
+        size, layer = _fold_layer(g.n, _constraint_rows(g.adj))
         # position p stands for the set holding v iff bit n - 1 - v of p is set
         sets = {sum(1 << v for v in range(g.n) if p >> (g.n - 1 - v) & 1) for p in bits(layer)}
         brute = {
@@ -602,8 +604,11 @@ class TestMinimumLayer:
             self.check(random_graph(rng, rng.randint(6, 10), rng.uniform(0.1, 0.9)))
 
     def test_order_above_the_table_rejected(self):
-        with pytest.raises(ValueError):
-            minimum_layer(cycle_graph(TABLE_MAX_ORDER + 1))
+        # above the table order lambda_exact searches, so no table of that
+        # order is built
+        g = cycle_graph(TABLE_MAX_ORDER + 1)
+        assert lambda_exact(g).lambda_ == lambda_oracle(g).lambda_
+        assert TABLE_MAX_ORDER + 1 not in solver._TABLES
 
 
 class TestLambdaOracle:

@@ -305,22 +305,33 @@ class TestVerifySuite:
             assert row.predicted == f"3..{2 * row.n - 2}"
 
     @pytest.mark.parametrize(
-        "config, builds, solves, class_orders",
-        [(VerifyConfig(), 328, 90, [5]), (VerifyConfig(n_max_bounds=6), 329, 91, [5, 6])],
+        "config, builds, solves, folds, class_orders",
+        [
+            (VerifyConfig(), 83, 90, {6: 13, 8: 232, 10: 336}, [5]),
+            (
+                VerifyConfig(n_max_bounds=6),
+                84,
+                91,
+                {6: 13, 8: 232, 10: 336, 12: 2352},
+                [5, 6],
+            ),
+        ],
         ids=["default", "bounds6"],
     )
     def test_sampled_bounds_rows_skip_the_functigraph_records(
-        self, monkeypatch, config, builds, solves, class_orders
+        self, monkeypatch, config, builds, solves, folds, class_orders
     ):
-        # the sampled rows on 5 and 6 vertices neither build a Functigraph
-        # nor call lambda_exact or minimum_layer: they fold their XORed row
-        # parts. Sweeps that built them made 664 and 426 build and solve
-        # calls at the default config, 3,017 and 2,779 at n_max_bounds = 6;
-        # minimum_layer solves only the 245 orbit representatives on 3 and 4
-        calls = {"build": 0, "solve": 0, "layer": 0}
+        # no bounds-range row builds a Functigraph or calls lambda_exact:
+        # the orbit representatives on 3 and 4 vertices and the sampled rows
+        # on 5 and 6 fold their XORed row parts. Sweeps that built them made
+        # 664 and 426 build and solve calls at the default config, 3,017 and
+        # 2,779 at n_max_bounds = 6; sweeps that built the orbit
+        # representatives made 328 and 329 build calls
+        calls = {"build": 0, "solve": 0}
         orders = []
+        fold_orders: dict[int, int] = {}
         build, solve = theorems.build_functigraph, theorems.lambda_exact
-        layer = theorems.minimum_layer
+        fold = theorems._fold_layer
         classes = theorems.nonisomorphic_connected_graphs
 
         def counted_build(*args):
@@ -331,9 +342,9 @@ class TestVerifySuite:
             calls["solve"] += 1
             return solve(*args)
 
-        def counted_layer(*args):
-            calls["layer"] += 1
-            return layer(*args)
+        def counted_fold(order, rows):
+            fold_orders[order] = fold_orders.get(order, 0) + 1
+            return fold(order, rows)
 
         def counted_classes(n):
             orders.append(n)
@@ -341,24 +352,24 @@ class TestVerifySuite:
 
         monkeypatch.setattr(theorems, "build_functigraph", counted_build)
         monkeypatch.setattr(theorems, "lambda_exact", counted_solve)
-        monkeypatch.setattr(theorems, "minimum_layer", counted_layer)
+        monkeypatch.setattr(theorems, "_fold_layer", counted_fold)
         monkeypatch.setattr(theorems, "nonisomorphic_connected_graphs", counted_classes)
         verify_suite(config)
         assert (calls["build"], calls["solve"], orders) == (builds, solves, class_orders)
-        assert calls["layer"] == 245
+        assert fold_orders == folds
 
     def test_exhaustive_bounds_solve_one_map_per_orbit(self, monkeypatch):
         # one solve per orbit of f -> sigma f tau under the automorphisms of
         # each class's first base: a lost orbit merge changes these counts
         # even where the rows still match
         solves = {3: 0, 4: 0}
-        solve = theorems.minimum_layer
+        fold = theorems._fold_layer
 
-        def counted(g):
-            solves[g.n // 2] += 1
-            return solve(g)
+        def counted(order, rows):
+            solves[order // 2] += 1
+            return fold(order, rows)
 
-        monkeypatch.setattr(theorems, "minimum_layer", counted)
+        monkeypatch.setattr(theorems, "_fold_layer", counted)
         config = VerifyConfig(
             n_max_complete=1, n_max_hi=3, n_max_bounds=4, include_gap_lemma=False
         )
