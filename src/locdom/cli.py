@@ -169,7 +169,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
             with open(args.csv, "w", encoding="utf-8", newline="") as fh:
                 report.write_csv(fh)
     if args.json_out is not None:
-        text = json.dumps(report.to_json_dict())
+        # the report is a tree of fresh containers: the cycle check only costs time
+        text = json.dumps(report.to_json_dict(), check_circular=False)
         if args.json_out == "-":
             print(text)
         else:
@@ -199,9 +200,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_lambda = sub.add_parser("lambda", help="exact value via the hitting-set search")
     _add_input_options(p_lambda)
     p_lambda.add_argument("--no-prune", action="store_true",
-                          help="start the search without the forced twin core; "
-                          "changes nothing on graphs of order <= 12, where every "
-                          "subset is decided at once")
+                          help="start the search without the forced twin core")
     p_lambda.add_argument("--deterministic-witness", action="store_true",
                           help="accepted for compatibility; every witness is "
                           "already the lexicographically least")

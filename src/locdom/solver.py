@@ -7,38 +7,25 @@ minimum size of such a set.
 
 Equivalently, L is a hitting set of the constraint rows ``N[v]`` (v is in L
 or has a neighbor in L) and ``{u, v} | (N(u) ^ N(v))`` (u or v is in L, or L
-tells them apart). ``lambda_exact`` solves that model in one of two ways,
-chosen by the order n alone:
+tells them apart). ``lambda_exact`` solves that model by one branch and
+bound at every order. A pair row whose ends have no common neighbor
+contains ``N[u]``, so it is implied and left out. The rows are numbered by
+size, then by value, so a node's unhit rows are one integer over row
+numbers and a pick removes the rows holding it with one AND. Each search
+node branches on its first unhit row and fails once a greedy packing of
+pairwise disjoint unhit rows needs more picks than are left; with one pick
+left, that pick must lie in every unhit row. A node that branches and finds
+nothing is remembered in a table of refuted subproblems, keyed by its unhit
+rows alone, so a later node with the same rows and no more picks left fails
+at once. The rows each packed part meets are memoized per part. Both tables
+live for one call and are bounded together by ``REFUTED_BUDGET`` bytes. The
+search takes a greedy upper bound and walks down from it until a size fails
+or the start bound is reached. The same search then turns the hit into the
+lexicographically least one, deciding the vertices in index order (see
+``lambda_exact``).
 
-* n <= ``TABLE_MAX_ORDER``: ``_fold_layer`` decides all ``2**n`` subsets
-  at once, the one subset-table pass. It holds them as the bits of one
-  integer and ANDs in, row by row, the subsets that hit the row, read with
-  one lookup from a precomputed per-order table indexed by the row itself.
-  The rows come from ``_constraint_rows``, or for a sampled functigraph as
-  XORed base and map parts (see ``functigraph._base_parts``). The value
-  and every minimum set, so the lexicographically least witness, are then
-  read off precomputed size layers. ``stats.sets_tested`` is ``2**n`` and
-  ``use_twin_pruning`` changes nothing.
-* larger n: branch and bound. A pair row whose ends have no common neighbor
-  contains ``N[u]``, so it is implied and left out. The rows are numbered
-  by size, then by value, so a node's unhit rows are one integer over row
-  numbers and a pick removes the rows holding it with one AND. Each search
-  node branches on its first unhit row and fails once a greedy packing of
-  pairwise disjoint unhit rows needs more picks than are left; with one
-  pick left, that pick must lie in every unhit row. A node that branches
-  and finds nothing is remembered in a table of refuted subproblems, keyed
-  by its unhit rows alone, so a later node with the same rows and no more
-  picks left fails at once. The rows each packed part meets are memoized
-  per part. Both tables live for one call and are bounded together by
-  ``REFUTED_BUDGET`` bytes. The search takes a greedy upper bound and
-  walks down from it until a size fails or the start bound is reached. The
-  same search then turns the hit into the lexicographically least one,
-  deciding the vertices in index order (see ``_lambda_search``).
-
-Both report the larger of two sound lower bounds as
-``stats.pruned_cardinalities_skipped``. The search starts from it; the
-table's size walk starts from the counting bound, since the twin core moves
-only the start, not the first size with a set:
+The search starts from the larger of two sound lower bounds, reported as
+``stats.pruned_cardinalities_skipped``:
 
 * counting: the outside vertices need pairwise distinct nonempty subsets of
   L, so ``order - size <= 2**size - 1`` must hold for any hit;
@@ -47,6 +34,15 @@ only the start, not the first size with a set:
   automorphism, so the lexicographically least solution of each size
   contains every such u; that forced twin core (``_twin_core``) may seed
   the search.
+
+The bounds sweep in ``theorems`` solves thousands of functigraphs of order
+at most 12 that it holds as constraint rows alone, XORed from base and map
+parts (see ``functigraph._base_parts``), and needs every minimum set of
+each. ``_fold_layer`` decides all ``2**n`` subsets of such a graph at once.
+It holds them as the bits of one integer and ANDs in, row by row, the
+subsets that hit the row, read with one lookup from a precomputed per-order
+table indexed by the row itself (``_tables``). The value and every minimum
+set are then read off precomputed size layers.
 
 ``lambda_oracle`` is the trust anchor: a plain unpruned enumeration of all
 subsets in ascending cardinality, kept free of every shortcut used by the
@@ -67,8 +63,6 @@ from .graph import Graph, TwinPartition, VertexSet
 from .graph import twin_partition  # noqa: F401
 
 ORACLE_MAX_ORDER = 24
-# largest order that ``lambda_exact`` decides by one pass over all subsets
-TABLE_MAX_ORDER = 12
 # order -> subset tables of ``_tables``, built on first use
 _TABLES: dict[int, tuple[list[int], list[int]]] = {}
 # bytes the refuted-subproblem table and the part memo of one ``lambda_exact``
@@ -153,26 +147,6 @@ def twin_lower_bound(partition: TwinPartition) -> int:
     return sum(len(cls.vertices) - 1 for cls in partition.classes if len(cls.vertices) >= 2)
 
 
-def lambda_exact(
-    g: Graph,
-    use_twin_pruning: bool = True,
-    deterministic_witness: bool = False,
-) -> SolveResult:
-    """Exact location-domination number with the lexicographically least witness.
-
-    Graphs of order at most ``TABLE_MAX_ORDER`` go to ``_lambda_table``, which
-    folds their ``_constraint_rows`` in ``_fold_layer`` and so decides all
-    ``2**n`` subsets at once: there ``stats.sets_tested`` is ``2**n`` and
-    ``use_twin_pruning`` changes nothing. Larger graphs go to the
-    branch and bound of ``_lambda_search``, where ``stats.sets_tested`` counts
-    search nodes. Both give the same value, witness and start bound.
-    ``deterministic_witness`` is kept for compatibility and changes nothing.
-    """
-    if g.n <= TABLE_MAX_ORDER:
-        return _lambda_table(g)
-    return _lambda_search(g, use_twin_pruning)
-
-
 def _tables(n: int) -> tuple[list[int], list[int]]:
     """Subset tables of order ``n`` for ``_fold_layer``, built on first use.
 
@@ -236,13 +210,15 @@ def _twin_core(adj: tuple[int, ...]) -> int:
 
 
 def _fold_layer(order: int, rows: Iterable[int]) -> tuple[int, int]:
-    """(value, minimum layer) of the graph of order ``order <= TABLE_MAX_ORDER``
-    whose constraint rows are ``rows``.
+    """(value, minimum layer) of the graph of order ``order`` whose constraint
+    rows are ``rows``.
 
-    ``ok`` starts as every subset and one ``reduce`` ANDs in the sets hitting
-    each row, so it ends as the locating-dominating sets. The value is the
-    first size from the counting bound with a set in ``ok``: the twin core
-    moves only the start, not the first size with a set. The minimum layer is
+    The bounds sweep calls it on orders up to 12, since ``VerifyConfig``
+    caps ``n_max_bounds`` at 6; the tables of an order take about ``4**order``
+    bits, so they are not meant for much larger graphs. ``ok`` starts as
+    every subset and one ``reduce`` ANDs in the sets hitting each row, so it
+    ends as the locating-dominating sets. The value is the first size from
+    the counting bound with a set in ``ok``. The minimum layer is
     ``ok`` cut to that size, every locating-dominating set of least size, as
     one integer whose bit p stands for the set that holds vertex v iff bit
     ``order - 1 - v`` of p is set; of two sets of one size the lex-lesser
@@ -256,28 +232,13 @@ def _fold_layer(order: int, rows: Iterable[int]) -> tuple[int, int]:
     return size, found
 
 
-def _lambda_table(g: Graph) -> SolveResult:
-    """Bit-parallel pass over all subsets, for graphs of order ``<= TABLE_MAX_ORDER``.
-
-    The rows of ``_constraint_rows`` are folded by ``_fold_layer``; the start
-    bound in ``stats`` comes from ``_twin_core``. The witness is the highest
-    position of the minimum layer, the lex-least minimum set. Building the
-    rows into a list before the fold costs about 5 µs per solve over one
-    loop fusing the two: 0.3 ms over the 54 table solves of a default verify
-    sweep, about 0.3% of it, the price of a single table pass.
-    """
-    started = time.perf_counter()
-    n = g.n
-    adj = g.adj
-    size, found = _fold_layer(n, _constraint_rows(adj))
-    start = max(info_lower_bound(n), _twin_core(adj).bit_count())
-    witness = int(f"{found.bit_length() - 1:0{n}b}"[::-1], 2)
-    elapsed = time.perf_counter() - started
-    return SolveResult(size, VertexSet(n, witness), SearchStats(1 << n, start, elapsed))
-
-
-def _lambda_search(g: Graph, use_twin_pruning: bool = True) -> SolveResult:
-    """Branch and bound over the hitting-set model, for graphs of any order.
+def lambda_exact(
+    g: Graph,
+    use_twin_pruning: bool = True,
+    deterministic_witness: bool = False,
+) -> SolveResult:
+    """Exact location-domination number with the lexicographically least witness,
+    by branch and bound over the hitting-set model.
 
     Rows are sorted by size, then by value, and numbered in that order. A set
     of rows is an int with bit i for row i, and ``covers[v]`` is the set of
@@ -333,7 +294,8 @@ def _lambda_search(g: Graph, use_twin_pruning: bool = True) -> SolveResult:
     nodes over all roots, including those the refuted-subproblem table
     answers. It is 0 when the greedy set already has the start size and
     holds the lowest vertices outside the fixed core, as when the core hits
-    every row.
+    every row. ``deterministic_witness`` is kept for compatibility and changes
+    nothing.
     """
     started = time.perf_counter()
     n = g.n

@@ -20,11 +20,8 @@ from locdom.families import (
 from locdom.functigraph import Signature, build_functigraph
 from locdom.graph import Graph, VertexSet, bits, permute_graph, twin_partition
 from locdom.solver import (
-    TABLE_MAX_ORDER,
     _constraint_rows,
     _fold_layer,
-    _lambda_search,
-    _lambda_table,
     _tables,
     info_lower_bound,
     is_locating_dominating,
@@ -33,7 +30,7 @@ from locdom.solver import (
     trace,
     twin_lower_bound,
 )
-from locdom.theorems import predicted_lambda_complete
+from locdom.theorems import predicted_lambda_complete, verify_suite
 
 
 def naive_is_ld(g, members):
@@ -125,11 +122,6 @@ def pinned_graphs():
     graphs += [random_graph(rng, rng.randint(13, 40), rng.uniform(0.08, 0.6)) for _ in range(10)]
     graphs += [random_connected_graph(rng, rng.randint(13, 40)) for _ in range(8)]
     return graphs
-
-
-# lambda_exact runs the table pass up to TABLE_MAX_ORDER; the search core is
-# driven directly as well, so it keeps its coverage on small graphs
-CORES = (lambda_exact, _lambda_search)
 
 
 def all_graphs(n):
@@ -294,18 +286,16 @@ class TestLambdaExact:
             graphs.append(with_isolated_and_pendants(rng, core))
         for g in graphs:
             expected = naive_lambda(g)
-            for solve in CORES:
-                for pruning in (True, False):
-                    res = solve(g, use_twin_pruning=pruning)
-                    assert (res.lambda_, res.witness.members) == expected
+            for pruning in (True, False):
+                res = lambda_exact(g, use_twin_pruning=pruning)
+                assert (res.lambda_, res.witness.members) == expected
 
     def test_oracle_equivalence_exhaustive_n4(self):
         for g in all_connected(4):
             reference = lambda_oracle(g)
-            for solve in CORES:
-                for pruning in (True, False):
-                    res = solve(g, use_twin_pruning=pruning)
-                    assert (res.lambda_, res.witness) == (reference.lambda_, reference.witness)
+            for pruning in (True, False):
+                res = lambda_exact(g, use_twin_pruning=pruning)
+                assert (res.lambda_, res.witness) == (reference.lambda_, reference.witness)
 
     def test_deterministic_witness_is_lex_least(self):
         rng = random.Random(37)
@@ -341,21 +331,19 @@ class TestLambdaExact:
             assert res.stats.pruned_cardinalities_skipped == floor
 
     def test_lex_extraction_matches_oracle(self):
-        # in the search core, the refuted-subproblem table fires from K8
-        # identity, C15 and P10 on
+        # the refuted-subproblem table fires from K8 identity, C15 and P10 on
         graphs = [build_functigraph(complete_graph(n), identity_map(n)).graph for n in range(3, 10)]
         graphs += [cycle_graph(n) for n in range(5, 19)]
         graphs += [path_graph(10), path_graph(15)]
-        # past the table gate: the twin core of K_n hits every row, and on
-        # K_n and the stars the greedy set is already the lex-least witness,
-        # so the search has little or nothing left to do
+        # the twin core of K_n hits every row, and on K_n and the stars the
+        # greedy set is already the lex-least witness, so the search has
+        # little or nothing left to do
         graphs += [family(n) for family in (complete_graph, star_graph) for n in range(13, 17)]
         for g in graphs:
             reference = lambda_oracle(g)
-            for solve in CORES:
-                for pruning in (True, False):
-                    res = solve(g, use_twin_pruning=pruning)
-                    assert (res.lambda_, res.witness) == (reference.lambda_, reference.witness)
+            for pruning in (True, False):
+                res = lambda_exact(g, use_twin_pruning=pruning)
+                assert (res.lambda_, res.witness) == (reference.lambda_, reference.witness)
 
     def test_solved_subproblems_are_not_refuted(self):
         # without the twin core, a table that also stored solved subproblems
@@ -410,11 +398,10 @@ class TestLambdaExact:
         for budget, counts in nodes.items():
             monkeypatch.setattr(solver, "REFUTED_BUDGET", budget)
             for g, reference, count in zip(graphs, references, counts):
-                for solve in CORES:
-                    for pruning in (True, False):
-                        res = solve(g, use_twin_pruning=pruning)
-                        assert (res.lambda_, res.witness) == (reference.lambda_, reference.witness)
-                        assert res.stats.sets_tested == count
+                for pruning in (True, False):
+                    res = lambda_exact(g, use_twin_pruning=pruning)
+                    assert (res.lambda_, res.witness) == (reference.lambda_, reference.witness)
+                    assert res.stats.sets_tested == count
 
     def test_node_counts_are_pinned(self):
         # search nodes of the benchmark's solve ladder and of three harder
@@ -455,7 +442,7 @@ class TestLambdaExact:
     def test_search_against_oracle_past_the_table_gate(self, g):
         reference = lambda_oracle(g)
         for pruning in (True, False):
-            res = _lambda_search(g, use_twin_pruning=pruning)
+            res = lambda_exact(g, use_twin_pruning=pruning)
             assert (res.lambda_, res.witness) == (reference.lambda_, reference.witness)
 
     @settings(max_examples=150, deadline=None)
@@ -463,10 +450,9 @@ class TestLambdaExact:
     def test_differential_against_oracle(self, data):
         g = data.draw(small_graphs())
         reference = lambda_oracle(g)
-        for solve in CORES:
-            for pruning in (True, False):
-                res = solve(g, use_twin_pruning=pruning)
-                assert (res.lambda_, res.witness) == (reference.lambda_, reference.witness)
+        for pruning in (True, False):
+            res = lambda_exact(g, use_twin_pruning=pruning)
+            assert (res.lambda_, res.witness) == (reference.lambda_, reference.witness)
         assert naive_is_ld(g, res.witness.members)
         perm = data.draw(st.permutations(range(g.n)))
         assert lambda_exact(permute_graph(g, perm)).lambda_ == reference.lambda_
@@ -480,40 +466,51 @@ class TestLambdaExact:
             assert lambda_exact(permute_graph(g, perm)).lambda_ == lambda_exact(g).lambda_
 
     def test_stats_counts(self):
-        # the table pass decides every subset of K4 at once
+        # the greedy set {0, 1, 2} of K4 has the start size and is lex-least,
+        # so the search visits no node
         for pruning in (True, False):
             res = lambda_exact(complete_graph(4), use_twin_pruning=pruning)
-            assert res.stats.sets_tested == 16
+            assert res.stats.sets_tested == 0
             assert res.stats.pruned_cardinalities_skipped == 3
             assert res.stats.elapsed >= 0.0
 
 
-def answer(res):
-    return res.lambda_, res.witness, res.stats.pruned_cardinalities_skipped
+def layer_answer(g):
+    """(value, witness, start bound) read from ``_fold_layer`` and the
+    independent twin partition: the layer's highest position is the lex-least
+    minimum set."""
+    value, layer = _fold_layer(g.n, _constraint_rows(g.adj))
+    top = layer.bit_length() - 1
+    witness = VertexSet.of(g.n, [v for v in range(g.n) if top >> (g.n - 1 - v) & 1])
+    start = max(info_lower_bound(g.n), twin_lower_bound(twin_partition(g)))
+    return value, witness, start
 
 
 class TestTablePass:
+    """``lambda_exact`` against the subset-table fold on the small graphs the
+    fold decides at once, and the tables themselves."""
+
     def test_matches_oracle_on_every_labeled_graph_up_to_five(self):
         count = 0
         for n in range(1, 6):
             for g in all_graphs(n):
                 count += 1
                 reference = lambda_oracle(g)
-                res = _lambda_table(g)
+                res = lambda_exact(g)
                 assert (res.lambda_, res.witness) == (reference.lambda_, reference.witness)
                 floor = max(info_lower_bound(n), twin_lower_bound(twin_partition(g)))
                 assert res.stats.pruned_cardinalities_skipped == floor
-                assert res.stats.sets_tested == 1 << n
         assert count == 1099
 
     def test_gate_boundary(self):
+        # orders 12 and 13: the largest order the bounds sweep folds, and one past it
         rng = random.Random(53)
         graphs = [
             build_functigraph(complete_graph(6), identity_map(6)).graph,
-            cycle_graph(TABLE_MAX_ORDER),
-            cycle_graph(TABLE_MAX_ORDER + 1),
+            cycle_graph(12),
+            cycle_graph(13),
         ]
-        for n in (TABLE_MAX_ORDER, TABLE_MAX_ORDER + 1):
+        for n in (12, 13):
             for k2 in (0, 1, 2, 3):
                 # k2 K2 components and two isolated vertices, relabeled
                 main = n - 2 * k2 - 2
@@ -522,15 +519,11 @@ class TestTablePass:
                 perm = list(range(n))
                 rng.shuffle(perm)
                 graphs.append(permute_graph(Graph.from_edges(n, edges), perm))
-        assert {g.n for g in graphs} == {TABLE_MAX_ORDER, TABLE_MAX_ORDER + 1}
+        assert {g.n for g in graphs} == {12, 13}
         for g in graphs:
             reference = lambda_oracle(g)
             res = lambda_exact(g)
             assert (res.lambda_, res.witness) == (reference.lambda_, reference.witness)
-            if g.n <= TABLE_MAX_ORDER:
-                assert res.stats.sets_tested == 1 << g.n
-            else:
-                assert res.stats.sets_tested == _lambda_search(g).stats.sets_tested
 
     def test_cores_agree_on_random_graphs(self):
         rng = random.Random(59)
@@ -539,10 +532,11 @@ class TestTablePass:
                 core = random_graph(rng, rng.randint(1, 9), rng.uniform(0.0, 1.0))
                 g = with_isolated_and_pendants(rng, core)
             else:
-                g = random_graph(rng, rng.randint(1, TABLE_MAX_ORDER), rng.uniform(0.0, 1.0))
-            table = answer(_lambda_table(g))
+                g = random_graph(rng, rng.randint(1, 12), rng.uniform(0.0, 1.0))
+            table = layer_answer(g)
             for pruning in (True, False):
-                assert answer(_lambda_search(g, use_twin_pruning=pruning)) == table
+                res = lambda_exact(g, use_twin_pruning=pruning)
+                assert (res.lambda_, res.witness, res.stats.pruned_cardinalities_skipped) == table
 
     def test_tables_match_brute_force(self):
         def sets_of(n):
@@ -562,10 +556,22 @@ class TestTablePass:
             assert len(hits) == 1 << n
             for k in range(1 << n):
                 assert hits[k] == meeting(sets, k)
-        hits, _ = _tables(TABLE_MAX_ORDER)
-        sets = sets_of(TABLE_MAX_ORDER)
-        for k in random.Random(12).sample(range(1 << TABLE_MAX_ORDER), 300):
+        hits, _ = _tables(12)
+        sets = sets_of(12)
+        for k in random.Random(12).sample(range(1 << 12), 300):
             assert hits[k] == meeting(sets, k)
+
+    def test_only_the_bounds_sweep_builds_tables(self, monkeypatch):
+        monkeypatch.setattr(solver, "_TABLES", {})
+        rng = random.Random(67)
+        graphs = [random_graph(rng, n, rng.uniform(0.2, 0.8)) for n in range(1, 13)]
+        graphs.append(build_functigraph(complete_graph(6), identity_map(6)).graph)
+        for g in graphs:
+            assert lambda_exact(g).lambda_ == lambda_oracle(g).lambda_
+        assert solver._TABLES == {}
+        # the default sweep folds functigraphs of bases on 3 to 5 vertices
+        assert verify_suite().all_match
+        assert set(solver._TABLES) == {6, 8, 10}
 
 
 class TestMinimumLayer:
@@ -602,13 +608,6 @@ class TestMinimumLayer:
         rng = random.Random(61)
         for _ in range(150):
             self.check(random_graph(rng, rng.randint(6, 10), rng.uniform(0.1, 0.9)))
-
-    def test_order_above_the_table_rejected(self):
-        # above the table order lambda_exact searches, so no table of that
-        # order is built
-        g = cycle_graph(TABLE_MAX_ORDER + 1)
-        assert lambda_exact(g).lambda_ == lambda_oracle(g).lambda_
-        assert TABLE_MAX_ORDER + 1 not in solver._TABLES
 
 
 class TestLambdaOracle:
