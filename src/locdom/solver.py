@@ -18,7 +18,7 @@ left, that pick must lie in every unhit row. A node that branches and finds
 nothing is remembered in a table of refuted subproblems, keyed by its unhit
 rows alone, so a later node with the same rows and no more picks left fails
 at once. The rows each packed part meets are memoized per part. Both tables
-live for one call and are bounded together by ``REFUTED_BUDGET`` bytes. The
+live for one call, and ``REFUTED_BUDGET`` bounds the bytes of each. The
 search takes a greedy upper bound and walks down from it until a size fails
 or the start bound is reached. The same search then turns the hit into the
 lexicographically least one, deciding the vertices in index order (see
@@ -65,12 +65,12 @@ from .graph import twin_partition  # noqa: F401
 ORACLE_MAX_ORDER = 24
 # order -> subset tables of ``_tables``, built on first use
 _TABLES: dict[int, tuple[list[int], list[int]]] = {}
-# bytes the refuted-subproblem table and the part memo of one ``lambda_exact``
-# call may hold together. A refuted entry is counted as 88 bytes for its dict
-# slot and int header plus one byte per 8 bits of its key, a memo entry as 116
-# bytes (a second int header) plus one per 8 bits of its key and value. The
-# memo is cleared when an entry takes the sum past this, and the table when
-# its own entries would pass it, so the sum passes it by one memo entry at most
+# bytes each of the refuted-subproblem table and the part memo of one
+# ``lambda_exact`` call may hold. A refuted entry is counted as 88 bytes for its
+# dict slot and int header plus one byte per 8 bits of its key, a memo entry as
+# 116 bytes (a second int header) plus one per 8 bits of its key and value. A
+# table is cleared when its own entries would pass this, so the two hold about
+# twice this at most
 REFUTED_BUDGET = 1 << 23
 
 
@@ -284,18 +284,19 @@ def lambda_exact(
     By induction over the order in which nodes fail, every failure, and so
     every skip, is a true one. The search therefore visits its successful
     branches in the same order and returns the same sets as without the
-    table. ``REFUTED_BUDGET`` bounds the estimated bytes of the table and the
-    part memo together. The memo is cleared first, and the table only when
-    its own entries would pass the budget, so the memo never moves a
-    clearing of the table.
+    table. ``REFUTED_BUDGET`` bounds the estimated bytes of the table and of
+    the part memo, each on its own, so the two hold about twice it at most.
+    Each is cleared only when its own entries would pass the budget, so the
+    memo never moves a clearing of the table.
 
     ``use_twin_pruning`` fixes the forced twin core before any root, and the
     rows it hits are never built. ``stats.sets_tested`` counts ``hit``
     nodes over all roots, including those the refuted-subproblem table
     answers. It is 0 when the greedy set already has the start size and
     holds the lowest vertices outside the fixed core, as when the core hits
-    every row. ``deterministic_witness`` is kept for compatibility and changes
-    nothing.
+    every row. ``deterministic_witness`` changes nothing, since every witness
+    is already the lexicographically least; it is kept because perfbench's
+    ``solve-ladder`` workload passes it.
     """
     started = time.perf_counter()
     n = g.n
@@ -329,7 +330,7 @@ def lambda_exact(
     refuted: dict[int, int] = {}
     # allowed part of a row -> the rows meeting it, the OR of its covers
     spans: dict[int, int] = {}
-    # estimated bytes of each table; REFUTED_BUDGET bounds their sum
+    # estimated bytes of each table; REFUTED_BUDGET bounds each on its own
     stored = spanned = 0
 
     def hit(unhit: int, allowed: int, left: int) -> int | None:
@@ -366,7 +367,7 @@ def lambda_exact(
                     span |= covers[bit.bit_length() - 1]
                 cost = 116 + (part.bit_length() + span.bit_length()) // 8
                 spanned += cost
-                if stored + spanned > REFUTED_BUDGET:
+                if spanned > REFUTED_BUDGET:
                     spans.clear()
                     spanned = cost
                 spans[part] = span
@@ -382,14 +383,9 @@ def lambda_exact(
         if left > 2:
             cost = 88 + unhit.bit_length() // 8
             stored += cost
-            if stored + spanned > REFUTED_BUDGET:
-                # the memo goes first, so the table is cleared only when its
-                # own entries pass the budget and the memo changes no node
-                spans.clear()
-                spanned = 0
-                if stored > REFUTED_BUDGET:
-                    refuted.clear()
-                    stored = cost
+            if stored > REFUTED_BUDGET:
+                refuted.clear()
+                stored = cost
             refuted[unhit] = left
         return None
 

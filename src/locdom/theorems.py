@@ -177,13 +177,9 @@ def predicted_bounds_functigraph(n: int) -> FunctigraphBounds:
     )
 
 
-# Immutable records, cheap to build since a sweep builds about ten thousand.
+# Immutable rows, cheap to build since a sweep builds about ten thousand.
 # They come from ``collections.namedtuple``: ``typing.NamedTuple`` would
 # compile each of this module's postponed (string) annotations at import.
-TheoremCase = namedtuple(
-    "TheoremCase", "case_id n params low high graph anchor", defaults=("",)
-)
-TheoremCase.__doc__ = "One solvable instance with its predicted value (or range)."
 CaseRow = namedtuple(
     "CaseRow",
     "case_id n params predicted computed match millis witness anchor",
@@ -311,18 +307,19 @@ def _edge_str(g: Graph) -> str:
     return " ".join(f"{u}-{v}" for u, v in g.edges())
 
 
-def _row(case: TheoremCase) -> CaseRow:
-    case_id, n, params, low, high, graph, anchor = case
+def _row(
+    case_id: str, n: int, params: str, value: int, graph: Graph, anchor: str = ""
+) -> CaseRow:
+    """The row of one instance predicted to have exactly ``value``."""
     result = lambda_exact(graph)
-    value = result.lambda_
-    predicted = str(low) if low == high else f"{low}..{high}"
+    computed = result.lambda_
     return CaseRow(
         case_id,
         n,
         params,
-        predicted,
-        value,
-        low <= value <= high,
+        str(value),
+        computed,
+        computed == value,
         result.stats.elapsed * 1000.0,
         result.witness.members,
         anchor,
@@ -358,8 +355,8 @@ def verify_suite(
     Larger bases use one representative per isomorphism class with a
     deterministic map sample.
 
-    The sweep runs in one process and solves the cases in order. The bounds
-    rows are streamed: each instance is solved and turned into its row in
+    The sweep runs in one process and solves the cases in order. Every
+    section is streamed: each instance is solved and turned into its row in
     turn, so none outlives its row. A ``bounds-range`` row's ``millis`` is
     the wall time spent producing it (the fold and solve of an orbit
     representative, the fold, solve and witness read of a sampled map, or a
@@ -374,34 +371,26 @@ def verify_suite(
             f"workers = {workers!r}: verify runs in one process, so only 1 is accepted"
         )
     cfg = config or VerifyConfig()
-    sigs, complete = _complete_cases(cfg.n_max_complete)
-    head = [_row(case) for case in complete]
-    rest = chain(
-        map(_row, _hi_cases(cfg.n_max_hi)),
+    rows = chain(
+        _complete_rows(cfg.n_max_complete),
+        _hi_rows(cfg.n_max_hi),
         _bounds_rows(cfg.n_max_bounds, random.Random(sample_seed)),
-        map(_row, _gap_cases(cfg.t_max)) if cfg.include_gap_lemma else (),
+        _gap_rows(cfg.t_max) if cfg.include_gap_lemma else (),
     )
-    return Report(head + _derived_rows(sigs, head) + list(rest))
+    return Report(list(rows))
 
 
-def _exact(
-    case_id: str, n: int, params: str, value: int, graph: Graph, anchor: str = ""
-) -> TheoremCase:
-    return TheoremCase(case_id, n, params, value, value, graph, anchor)
-
-
-def _complete_cases(n_max: int) -> tuple[list[tuple[int, Signature]], list[TheoremCase]]:
-    """Signature cases of the complete graphs on 2..n_max vertices, then the
-    ``complete-base`` cases from n = 4; ``sigs`` lists the (n, sig) of each
-    signature case, in case order."""
+def _complete_rows(n_max: int) -> Iterator[CaseRow]:
+    """Signature rows of the complete graphs on 2..n_max vertices, then the
+    ``complete-base`` rows from n = 4, then the rows derived from both."""
     sigs = [(n, sig) for n in range(2, n_max + 1) for sig in signatures(n)]
-    cases: list[TheoremCase] = []
+    rows = []
     for n, sig in sigs:
         case_id, value, anchor = _complete_regime(n, sig)
         fg = build_functigraph(complete_graph(n), signature_map(sig.parts))
-        cases.append(_exact(case_id, n, f"sig={_sig_str(sig)}", value, fg.graph, anchor))
-    cases += [
-        _exact(
+        rows.append(_row(case_id, n, f"sig={_sig_str(sig)}", value, fg.graph, anchor))
+    rows += [
+        _row(
             "complete-base",
             n,
             "family=complete",
@@ -411,11 +400,11 @@ def _complete_cases(n_max: int) -> tuple[list[tuple[int, Signature]], list[Theor
         )
         for n in range(4, n_max + 1)
     ]
-    return sigs, cases
+    yield from rows
+    yield from _derived_rows(sigs, rows)
 
 
-def _hi_cases(n_max: int) -> list[TheoremCase]:
-    cases: list[TheoremCase] = []
+def _hi_rows(n_max: int) -> Iterator[CaseRow]:
     for n in range(4, n_max + 1):
         for i in range(1, n // 2 + 1):
             kinds = [TWIN_PAIR] + ([SATURATED] if n > 2 * i else [])
@@ -423,10 +412,7 @@ def _hi_cases(n_max: int) -> list[TheoremCase]:
                 target = 0 if kind == TWIN_PAIR else 2 * i
                 fg = build_functigraph(h_graph(n, i), constant_map(n, target))
                 case_id, value = _hi_regime(n, i, kind)
-                cases.append(
-                    _exact(case_id, n, f"i={i} target={target} kind={kind}", value, fg.graph)
-                )
-    return cases
+                yield _row(case_id, n, f"i={i} target={target} kind={kind}", value, fg.graph)
 
 
 def _bounds_rows(n_max: int, rng: random.Random) -> Iterator[CaseRow]:
@@ -448,25 +434,21 @@ def _bounds_rows(n_max: int, rng: random.Random) -> Iterator[CaseRow]:
         if n == 3:
             fg = build_functigraph(path_graph(3), identity_map(3))
             yield _row(
-                _exact(
-                    "bounds-sharp-low",
-                    n,
-                    "base=path3 map=identity",
-                    bounds.lower,
-                    fg.graph,
-                    "identity on the 3-path attains the floor",
-                )
+                "bounds-sharp-low",
+                n,
+                "base=path3 map=identity",
+                bounds.lower,
+                fg.graph,
+                "identity on the 3-path attains the floor",
             )
         fg = build_functigraph(star_graph(n), constant_map(n, 0))
         yield _row(
-            _exact(
-                "bounds-sharp-high",
-                n,
-                f"base=star{n} map=constant:0",
-                bounds.upper,
-                fg.graph,
-                "stars with a constant map onto the center attain 2n-2",
-            )
+            "bounds-sharp-high",
+            n,
+            f"base=star{n} map=constant:0",
+            bounds.upper,
+            fg.graph,
+            "stars with a constant map onto the center attain 2n-2",
         )
         # n-bit half of a position -> the members it stands for, in either copy
         ones = [tuple(v for v in range(n) if x >> n - 1 - v & 1) for x in range(1 << n)]
@@ -591,33 +573,28 @@ def _relabeled_rows(
             )
 
 
-def _gap_cases(t_max: int) -> list[TheoremCase]:
-    cases: list[TheoremCase] = []
+def _gap_rows(t_max: int) -> Iterator[CaseRow]:
     for t in range(2, t_max + 1):
         g = pendant_gap_graph(t)
-        cases.append(_exact("gap-base", g.n, f"t={t}", t, g, "base value is t"))
+        yield _row("gap-base", g.n, f"t={t}", t, g, "base value is t")
         fg = build_functigraph(g, constant_map(g.n, 0))
-        cases.append(
-            _exact(
-                "gap-functigraph",
-                g.n,
-                f"t={t} map=constant:0",
-                2 * t,
-                fg.graph,
-                "functigraph value doubles to 2t",
-            )
+        yield _row(
+            "gap-functigraph",
+            g.n,
+            f"t={t} map=constant:0",
+            2 * t,
+            fg.graph,
+            "functigraph value doubles to 2t",
         )
-    return cases
 
 
 def _derived_rows(
     sigs: list[tuple[int, Signature]], complete_rows: list[CaseRow]
-) -> list[CaseRow]:
+) -> Iterator[CaseRow]:
     """Matching-count and base-equality rows for the signature rows of
     ``complete_rows``, which pair up with ``sigs``; the base value is read off
     the ``complete-base`` rows."""
     base_lambda = {r.n: r.computed for r in complete_rows if r.case_id == "complete-base"}
-    derived: list[CaseRow] = []
     for (n, sig), row in zip(sigs, complete_rows):
         if n < 4:
             continue
@@ -627,32 +604,27 @@ def _derived_rows(
             # bijections already have their own prediction row above
             continue
         p = sig.num_unit_parts
-        derived.append(
-            CaseRow(
-                "matching-lower-bound",
-                n,
-                f"sig={_sig_str(sig)}",
-                f">={p}",
-                row.computed,
-                row.computed >= p,
-                0.0,
-                row.witness,
-                anchor="value is at least the number of functi matchings",
-            )
+        yield CaseRow(
+            "matching-lower-bound",
+            n,
+            f"sig={_sig_str(sig)}",
+            f">={p}",
+            row.computed,
+            row.computed >= p,
+            0.0,
+            row.witness,
+            anchor="value is at least the number of functi matchings",
         )
         base_value = base_lambda[n]
         should_equal = k == n - 1
-        derived.append(
-            CaseRow(
-                "equality-at-k",
-                n,
-                f"sig={_sig_str(sig)} k={k}",
-                f"=={base_value}" if should_equal else f"!={base_value}",
-                row.computed,
-                (row.computed == base_value) == should_equal,
-                0.0,
-                row.witness,
-                anchor="base and functigraph values agree exactly at image size n-1",
-            )
+        yield CaseRow(
+            "equality-at-k",
+            n,
+            f"sig={_sig_str(sig)} k={k}",
+            f"=={base_value}" if should_equal else f"!={base_value}",
+            row.computed,
+            (row.computed == base_value) == should_equal,
+            0.0,
+            row.witness,
+            anchor="base and functigraph values agree exactly at image size n-1",
         )
-    return derived

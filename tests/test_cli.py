@@ -233,6 +233,14 @@ class TestLambda:
             main(["lambda", "--bogus"])
         assert info.value.code == 2
 
+    def test_removed_deterministic_witness_flag_exits_two(self, capsys, tmp_path):
+        # every witness is the lexicographically least, so the flag is gone
+        path = write(tmp_path, "k4.json", json.dumps(graph_to_json_dict(complete_graph(4))))
+        with pytest.raises(SystemExit) as info:
+            main(["lambda", "--graph", path, "--deterministic-witness"])
+        assert info.value.code == 2
+        assert "--deterministic-witness" in capsys.readouterr().err
+
 
 def twins_on_stdin(text):
     """Exit code and stderr of ``locdom twins`` reading ``text`` on stdin.

@@ -27,7 +27,6 @@ from locdom.theorems import (
     TWIN_PAIR,
     CaseRow,
     Report,
-    TheoremCase,
     VerifyConfig,
     complete_case_id,
     hi_case_id,
@@ -358,6 +357,26 @@ class TestVerifySuite:
         assert (calls["build"], calls["solve"], orders) == (builds, solves, class_orders)
         assert fold_orders == folds
 
+    def test_every_section_solves_each_build_before_the_next(self, monkeypatch):
+        # each section streams its rows: a functigraph is solved before the
+        # next one is built, so none is held beyond its row
+        calls = []
+        build, solve = theorems.build_functigraph, theorems.lambda_exact
+
+        def logged_build(*args):
+            calls.append("build")
+            return build(*args)
+
+        def logged_solve(*args):
+            calls.append("solve")
+            return solve(*args)
+
+        monkeypatch.setattr(theorems, "build_functigraph", logged_build)
+        monkeypatch.setattr(theorems, "lambda_exact", logged_solve)
+        verify_suite(SMALL_CONFIG)
+        assert calls.count("build") > 1
+        assert all(calls[i + 1] == "solve" for i, c in enumerate(calls) if c == "build")
+
     def test_exhaustive_bounds_solve_one_map_per_orbit(self, monkeypatch):
         # one solve per orbit of f -> sigma f tau under the automorphisms of
         # each class's first base: a lost orbit merge changes these counts
@@ -428,16 +447,10 @@ class TestVerifySuite:
             "case_id", "n", "params", "predicted", "computed", "match",
             "millis", "witness", "anchor",
         )
-        assert TheoremCase._fields == (
-            "case_id", "n", "params", "low", "high", "graph", "anchor",
-        )
         row = CaseRow("demo-ok", 3, "", "3", 3, True, 0.1, (0, 1, 2))
-        case = TheoremCase("demo-ok", 3, "", 3, 3, complete_graph(3))
-        assert row.anchor == case.anchor == ""
+        assert row.anchor == ""
         with pytest.raises(AttributeError):
             row.millis = 0.0
-        with pytest.raises(AttributeError):
-            case.low = 0
 
     def test_rows_carry_witnesses(self):
         report = verify_suite(SMALL_CONFIG)
