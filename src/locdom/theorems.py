@@ -24,11 +24,11 @@ from __future__ import annotations
 
 import csv
 import random
-import time
 from collections import namedtuple
 from dataclasses import dataclass, field
 from itertools import chain
 from operator import xor
+from time import perf_counter_ns
 from typing import IO, Iterator
 
 from .families import (
@@ -57,15 +57,11 @@ SATURATED = "saturated"
 TWIN_PAIR = "twin-pair"
 
 
-def _check_signature(n: int, sig: Signature) -> None:
-    if sig.n != n:
-        raise ValueError(f"signature {sig.parts} does not sum to {n}")
-
-
 def _complete_regime(n: int, sig: Signature) -> tuple[str, int, str]:
     """(case id, predicted value, anchor) of the functigraph of the complete
     graph on n vertices under any map with preimage signature ``sig``."""
-    _check_signature(n, sig)
+    if sig.n != n:
+        raise ValueError(f"signature {sig.parts} does not sum to {n}")
     k = sig.num_parts
     if k == 1:
         value = 2 if n == 2 else 2 * n - 3
@@ -232,7 +228,7 @@ class Report:
 
     @property
     def matched(self) -> int:
-        return sum(1 for r in self.rows if r.match)
+        return sum(r.match for r in self.rows)
 
     @property
     def all_match(self) -> bool:
@@ -243,13 +239,12 @@ class Report:
 
     def section_counts(self) -> dict[str, tuple[int, int]]:
         """Per section (case-id prefix): (matched, total)."""
-        counts: dict[str, list[int]] = {}
+        counts: dict[str, tuple[int, int]] = {}
         for r in self.rows:
             section = r.case_id.split("-", 1)[0]
-            entry = counts.setdefault(section, [0, 0])
-            entry[0] += int(r.match)
-            entry[1] += 1
-        return {k: (v[0], v[1]) for k, v in counts.items()}
+            matched, total = counts.get(section, (0, 0))
+            counts[section] = (matched + r.match, total + 1)
+        return counts
 
     def write_csv(self, stream: IO[str]) -> None:
         writer = csv.writer(stream)
@@ -296,11 +291,11 @@ class Report:
 
 
 def _sig_str(sig: Signature) -> str:
-    return "+".join(str(p) for p in sig.parts)
+    return "+".join(map(str, sig.parts))
 
 
 def _map_str(fmap: FunctionMap) -> str:
-    return ",".join(str(t) for t in fmap.targets)
+    return ",".join(map(str, fmap.targets))
 
 
 def _edge_str(g: Graph) -> str:
@@ -335,8 +330,7 @@ def _sampled_maps(n: int, rng: random.Random, extra: int = 5) -> list[FunctionMa
     maps.extend(
         FunctionMap(n, tuple(rng.randrange(n) for _ in range(n))) for _ in range(extra)
     )
-    unique: dict[tuple[int, ...], FunctionMap] = {m.targets: m for m in maps}
-    return list(unique.values())
+    return list({m.targets: m for m in maps}.values())
 
 
 def verify_suite(
@@ -357,10 +351,10 @@ def verify_suite(
 
     The sweep runs in one process and solves the cases in order. Every
     section is streamed: each instance is solved and turned into its row in
-    turn, so none outlives its row. A ``bounds-range`` row's ``millis`` is
-    the wall time spent producing it (the fold and solve of an orbit
-    representative, the fold, solve and witness read of a sampled map, or a
-    derivation), any other solved row's the solve alone.
+    turn, so none outlives its row. A ``bounds-range`` row's ``millis`` is,
+    on at most 4 vertices, its share in whole ns of its labeled base's wall
+    time (see ``_relabeled_rows``), on a sampled map the wall time of its
+    fold, solve and witness read; any other solved row's is the solve alone.
 
     ``workers`` is kept only so that callers passing ``workers=1`` (the
     benchmark's worker does) keep working; any other value raises
@@ -425,10 +419,10 @@ def _bounds_rows(n_max: int, rng: random.Random) -> Iterator[CaseRow]:
     (see ``functigraph._base_parts``). ``solver._fold_layer`` solves those
     rows, and the layer's highest position, the lex-least minimum set, is
     read through the half tables ``ones`` and ``twos`` that
-    ``_relabeled_rows`` shares. A row's ``millis`` is the wall time of its
-    fold, solve and witness read, in whole ns over 1e6.
+    ``_relabeled_rows`` shares. A sampled row's ``millis`` is the wall time
+    of its fold, solve and witness read, in whole ns over 1e6; a row on at
+    most 4 vertices gets its share of its labeled base's wall time.
     """
-    clock = time.perf_counter_ns
     for n in range(3, n_max + 1):
         bounds = predicted_bounds_functigraph(n)
         if n == 3:
@@ -465,7 +459,7 @@ def _bounds_rows(n_max: int, rng: random.Random) -> Iterator[CaseRow]:
             base_parts = _base_parts(base)
             prefix = f"edges={_edge_str(base)} map="
             for parts, map_str in zip(map_parts, map_strs):
-                started = clock()
+                started = perf_counter_ns()
                 value, layer = _fold_layer(2 * n, map(xor, base_parts, parts))
                 top = layer.bit_length() - 1
                 yield CaseRow(
@@ -475,7 +469,7 @@ def _bounds_rows(n_max: int, rng: random.Random) -> Iterator[CaseRow]:
                     predicted,
                     value,
                     bounds.lower <= value <= bounds.upper,
-                    (clock() - started) / 1e6,
+                    (perf_counter_ns() - started) / 1e6,
                     ones[top >> n] + twos[top & low],
                 )
 
@@ -500,15 +494,18 @@ def _relabeled_rows(
     that fold's minimum layer each n-bit half of a position is moved by the
     table of its copy's permutation, and the lex-least image is the highest.
     One ``_least_code`` per base gives its class, ``perm`` and, for G, the
-    automorphisms. A row's ``millis`` is the wall time spent producing it,
-    in whole ns over 1e6: the fold and solve for G under h0, the derivation
-    for every other row.
+    automorphisms. A base's rows are built in one batch once its clock is
+    read, and each row's ``millis`` is its share of the base's wall time,
+    split evenly in whole ns over 1e6. That time covers the canonical
+    search, any orbit representative first folded there (with the class's
+    ``map_orbits`` on G) and the derivations.
     """
-    clock = time.perf_counter_ns
     maps = list(all_maps(n))
     map_strs = [_map_str(fmap) for fmap in maps]
     predicted = f"{bounds.lower}..{bounds.upper}"
     low = (1 << n) - 1
+    # position -> the members it stands for, shared by the rows it serves
+    witness_of = [ones[p >> n] + twos[p & low] for p in range(1 << 2 * n)]
     # permutation p -> half table: entry x is half x with each vertex v moved
     # to p[v]
     tables: dict[tuple[int, ...], list[int]] = {}
@@ -519,6 +516,7 @@ def _relabeled_rows(
     for base in all_graphs(n):
         if not is_connected(base):
             continue
+        started = perf_counter_ns()
         key, orders = _least_code(base)
         if key not in classes:
             classes[key] = (
@@ -538,11 +536,10 @@ def _relabeled_rows(
         for v in range(n):
             step = n ** (n - 1 - inverse[v])
             conjugated = [at + inverse[t] * step for at in conjugated for t in range(n)]
-        prefix = f"edges={_edge_str(base)} map="
         # (h0, i) -> the highest upper half under moved[i], kept per base
         uppers = {}
-        for index, map_str in zip(conjugated, map_strs):
-            started = clock()
+        derived = []
+        for index in conjugated:
             h0, i, j = orbits[index]
             answer = answers[h0]
             if answer is None:
@@ -555,22 +552,19 @@ def _relabeled_rows(
                     halves.setdefault(top >> n, []).append(top & low)
                 answer = answers[h0] = (value, bounds.lower <= value <= bounds.upper, halves)
             value, match, halves = answer
-            one, two = moved[i], moved[j]
+            one = moved[i]
             # the highest image has the highest upper half, then lower half
             upper = uppers.get((h0, i))
             if upper is None:
                 upper = uppers[h0, i] = max(halves, key=one)
-            lower = max(halves[upper], key=two)
-            yield CaseRow(
-                "bounds-range",
-                n,
-                prefix + map_str,
-                predicted,
-                value,
-                match,
-                (clock() - started) / 1e6,
-                ones[one(upper)] + twos[two(lower)],
-            )
+            top = one(upper) << n | max(map(moved[j], halves[upper]))
+            derived.append((value, match, witness_of[top]))
+        millis = (perf_counter_ns() - started) // len(derived) / 1e6
+        prefix = f"edges={_edge_str(base)} map="
+        yield from [
+            CaseRow("bounds-range", n, prefix + map_str, predicted, value, match, millis, witness)
+            for map_str, (value, match, witness) in zip(map_strs, derived)
+        ]
 
 
 def _gap_rows(t_max: int) -> Iterator[CaseRow]:

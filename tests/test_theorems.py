@@ -21,7 +21,7 @@ from locdom.families import (
 )
 from locdom.functigraph import FunctionMap, Signature, build_functigraph
 from locdom.graph import Graph
-from locdom.solver import lambda_exact
+from locdom.solver import info_lower_bound, lambda_exact
 from locdom.theorems import (
     SATURATED,
     TWIN_PAIR,
@@ -441,6 +441,39 @@ class TestVerifySuite:
         ]
         assert len(read_off) == 68
         assert all(r.millis == 0.0 for r in read_off)
+
+    def test_derived_bounds_rows_share_their_base_time(self):
+        # an exhaustive bounds-range row's millis is its labeled base's wall
+        # time split evenly over the base's n**n rows, in whole ns
+        config = VerifyConfig(
+            n_max_complete=1, n_max_hi=3, n_max_bounds=4, include_gap_lemma=False
+        )
+        rows = verify_suite(config).rows
+        assert all(type(r) is CaseRow for r in rows)
+        ranged = [r for r in rows if r.case_id == "bounds-range"]
+        assert len(ranged) == 4 * 27 + 38 * 256
+        bases: dict[tuple[int, str], set[float]] = {}
+        for r in ranged:
+            assert round(r.millis * 1e6) / 1e6 == r.millis, r
+            base = r.params.partition(" map=")[0]
+            bases.setdefault((r.n, base), set()).add(r.millis)
+        assert len(bases) == 4 + 38
+        assert all(len(shares) == 1 for shares in bases.values()), bases
+
+    def test_bounds_rows_respect_the_counting_bound(self):
+        # F has 2n vertices, so no bounds-range value is below
+        # info_lower_bound(2n); from n = 6 on that is 4, above the paper's 3
+        config = VerifyConfig(
+            n_max_complete=1, n_max_hi=3, n_max_bounds=6, include_gap_lemma=False
+        )
+        least: dict[int, int] = {}
+        for r in verify_suite(config).rows:
+            if r.case_id == "bounds-range":
+                assert r.computed >= info_lower_bound(2 * r.n), r
+                least[r.n] = min(least.get(r.n, r.computed), r.computed)
+        # each n's least value attains the bound
+        assert least == {n: info_lower_bound(2 * n) for n in (3, 4, 5, 6)}
+        assert least[6] == 4
 
     def test_record_fields_and_immutability(self):
         assert CaseRow._fields == (
