@@ -11,7 +11,6 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from itertools import combinations, permutations, product
-from operator import mul
 from typing import Iterator, Sequence
 
 from .functigraph import FunctionMap, Signature
@@ -227,14 +226,14 @@ def connected_graphs(n: int) -> Iterator[Graph]:
             yield g
 
 
-def _least_code(g: Graph) -> tuple[tuple, list[list[int]]]:
-    """Canonical key of ``g`` and every vertex order that attains it, in the
-    order they are found.
+def canonical_form(g: Graph) -> tuple:
+    """Isomorphism-invariant key ``(n, sorted degrees, code)``, where the code
+    is the least adjacency code (upper triangle, row by row) over the vertex
+    orders that list the vertices by degree. Intended for small graphs;
+    regular graphs fall back to all permutations of their order.
 
-    The key is ``(n, sorted degrees, code)``, where the code is the least
-    adjacency code (upper triangle, row by row) over the vertex orders that
-    list the vertices by degree. Regular graphs fall back to all
-    permutations of their order.
+    It serves callers and tests as an isomorphism key; class generation in
+    :func:`nonisomorphic_connected_graphs` does not use it.
     """
     n = g.n
     degree_of = [g.adj[v].bit_count() for v in range(n)]
@@ -243,7 +242,6 @@ def _least_code(g: Graph) -> tuple[tuple, list[list[int]]]:
         groups.setdefault(degree_of[v], []).append(v)
     blocks = [groups[d] for d in sorted(groups)]
     best: int | None = None
-    orders: list[list[int]] = []
     for choice in product(*(permutations(block) for block in blocks)):
         order = [v for block in choice for v in block]
         code = 0
@@ -253,75 +251,7 @@ def _least_code(g: Graph) -> tuple[tuple, list[list[int]]]:
                 code = code << 1 | (row >> order[b] & 1)
         if best is None or code < best:
             best = code
-            orders = [order]
-        elif code == best:
-            orders.append(order)
-    return (n, tuple(sorted(degree_of)), best), orders
-
-
-def _carry(order: list[int], target: list[int]) -> list[int]:
-    """The permutation that sends the vertex at each place of ``order`` to
-    the vertex at that place of ``target``."""
-    perm = [0] * len(order)
-    for v, w in zip(order, target):
-        perm[v] = w
-    return perm
-
-
-def canonical_form(g: Graph) -> tuple:
-    """Isomorphism-invariant key: minimal adjacency code over degree-preserving
-    relabelings. Intended for small graphs; regular graphs fall back to all
-    permutations of their order.
-
-    It serves callers and tests as an isomorphism key; class generation in
-    :func:`nonisomorphic_connected_graphs` does not use it.
-    """
-    return _least_code(g)[0]
-
-
-def automorphisms(g: Graph, orders: list[list[int]] | None = None) -> list[tuple[int, ...]]:
-    """Every permutation ``perm`` with ``permute_graph(g, perm) == g``, the
-    identity first. ``orders``, if given, is ``_least_code(g)[1]``.
-
-    Two vertex orders that attain the canonical key put ``g`` in one layout,
-    so carrying the first onto any other is an automorphism. Conversely an
-    automorphism keeps degrees, so it moves the first order to another
-    order of the search with the same code. Intended for small graphs, as
-    ``canonical_form``.
-    """
-    orders = orders or _least_code(g)[1]
-    return [tuple(_carry(orders[0], order)) for order in orders]
-
-
-def map_orbits(
-    g: Graph, orders: list[list[int]] | None = None
-) -> tuple[list[tuple[int, ...]], list[tuple[int, int, int]]]:
-    """The automorphisms of ``g`` and, for each map on its vertices in
-    :func:`all_maps` order, ``(h0, i, j)``: the index of the first map of
-    its orbit under f -> sigma f tau, for sigma and tau automorphisms, with
-    the map equal to ``auts[j] h0 auts[i]^-1``. ``orders`` is as in
-    :func:`automorphisms`.
-
-    F(g, sigma f tau) is F(g, f) with its first copy moved by tau^-1 and its
-    second by sigma, so the maps of one orbit give isomorphic functigraphs.
-    On a complete graph the orbits are the preimage signatures. Intended for
-    small graphs: every one of the n**n maps gets an entry.
-    """
-    n = g.n
-    auts = automorphisms(g, orders)
-    # sigma f tau with tau = rho^-1 sends rho[u] to sigma[f(u)], so its index
-    # sums sigma[f(u)] times the place weight of rho[u]
-    placed = [[n ** (n - 1 - v) for v in rho] for rho in auts]
-    orbits: list = [None] * n**n
-    for index, targets in enumerate(product(range(n), repeat=n)):
-        if orbits[index] is None:
-            images = [[sigma[t] for t in targets] for sigma in auts]
-            for i, weights in enumerate(placed):
-                for j, image in enumerate(images):
-                    at = sum(map(mul, image, weights))
-                    if orbits[at] is None:
-                        orbits[at] = (index, i, j)
-    return auts, orbits
+    return (n, tuple(sorted(degree_of)), best)
 
 
 def nonisomorphic_connected_graphs(n: int) -> list[Graph]:
@@ -370,10 +300,9 @@ def random_graph(rng: random.Random, n: int, p: float) -> Graph:
     return Graph.from_edges(n, edges)
 
 
-def random_connected_graph(rng: random.Random, n: int, p: float | None = None) -> Graph:
-    prob = 0.5 if p is None else p
+def random_connected_graph(rng: random.Random, n: int, p: float = 0.5) -> Graph:
     for _ in range(10_000):
-        g = random_graph(rng, n, prob)
+        g = random_graph(rng, n, p)
         if is_connected(g):
             return g
     raise ValueError("failed to sample a connected graph; increase p")

@@ -13,11 +13,13 @@ Predictions cover three instance families:
 ``verify_suite`` checks every swept instance against its exact value and
 reports one row per comparison; a mismatch is a report row, never an
 exception. Each instance is solved exactly, except that on bases of at
-most 4 vertices one instance per symmetry orbit is solved and the others
-take its value and witness (see ``_relabeled_rows``). The bounds-range
-instances, those orbit representatives and the sampled instances on larger
-bases, are solved from their constraint rows alone, each the XOR of a base
-part and a map part, with no functigraph built (see ``_bounds_rows``).
+most 4 vertices only the first labeled base of each isomorphism class is
+solved, under the first map of each orbit of its maps, and each answer is
+pushed through the isomorphisms of the class to every instance it reaches
+(see ``_relabeled_rows``). The bounds-range instances, those orbit
+representatives and the sampled instances on larger bases, are solved from
+their constraint rows alone, each the XOR of a base part and a map part,
+with no functigraph built (see ``_bounds_rows``).
 """
 
 from __future__ import annotations
@@ -26,22 +28,19 @@ import csv
 import random
 from collections import namedtuple
 from dataclasses import dataclass, field
-from itertools import chain
+from itertools import chain, permutations
 from operator import xor
 from time import perf_counter_ns
 from typing import IO, Iterator
 
 from .families import (
     FamilySpec,
-    _carry,
-    _least_code,
     all_graphs,
     all_maps,
     complete_graph,
     constant_map,
     h_graph,
     identity_map,
-    map_orbits,
     nonisomorphic_connected_graphs,
     path_graph,
     pendant_gap_graph,
@@ -50,7 +49,7 @@ from .families import (
     star_graph,
 )
 from .functigraph import FunctionMap, Signature, _base_parts, _map_parts, build_functigraph
-from .graph import MAX_ORDER, Graph, is_connected
+from .graph import MAX_ORDER, Graph, is_connected, permute_graph
 from .solver import _fold_layer, lambda_exact
 
 SATURATED = "saturated"
@@ -321,14 +320,14 @@ def _row(
     )
 
 
-def _sampled_maps(n: int, rng: random.Random, extra: int = 5) -> list[FunctionMap]:
+def _sampled_maps(n: int, rng: random.Random) -> list[FunctionMap]:
     """Deterministic map sample for bases too large for the full n**n sweep:
-    identity, every constant, one canonical map per signature, a few random."""
+    identity, every constant, one canonical map per signature, five random."""
     maps: list[FunctionMap] = [identity_map(n)]
     maps.extend(constant_map(n, t) for t in range(n))
     maps.extend(signature_map(sig.parts) for sig in signatures(n))
     maps.extend(
-        FunctionMap(n, tuple(rng.randrange(n) for _ in range(n))) for _ in range(extra)
+        FunctionMap(n, tuple(rng.randrange(n) for _ in range(n))) for _ in range(5)
     )
     return list({m.targets: m for m in maps}.values())
 
@@ -345,16 +344,19 @@ def verify_suite(
     base-equality checks derived from it), the near-complete h_graph sweep,
     the bounds sweep with its sharpness instances, and the gap construction.
     Bases of order up to 4 are swept with every labeled base and every map,
-    solving one instance per symmetry orbit (see ``_relabeled_rows``).
-    Larger bases use one representative per isomorphism class with a
-    deterministic map sample.
+    solving the first base of each class under one map per orbit and
+    pushing each answer to every labeled base of the class (see
+    ``_relabeled_rows``). Larger bases use one representative per
+    isomorphism class with a deterministic map sample.
 
     The sweep runs in one process and solves the cases in order. Every
     section is streamed: each instance is solved and turned into its row in
-    turn, so none outlives its row. A ``bounds-range`` row's ``millis`` is,
-    on at most 4 vertices, its share in whole ns of its labeled base's wall
-    time (see ``_relabeled_rows``), on a sampled map the wall time of its
-    fold, solve and witness read; any other solved row's is the solve alone.
+    turn, so none outlives its row; on at most 4 vertices the answers pushed
+    to a later base of the class wait for its turn. A ``bounds-range`` row's
+    ``millis`` is, on at most 4 vertices, its share in whole ns of its
+    isomorphism class's wall time (see ``_relabeled_rows``), on a sampled
+    map the wall time of its fold, solve and witness read; any other solved
+    row's is the solve alone.
 
     ``workers`` is kept only so that callers passing ``workers=1`` (the
     benchmark's worker does) keep working; any other value raises
@@ -421,7 +423,7 @@ def _bounds_rows(n_max: int, rng: random.Random) -> Iterator[CaseRow]:
     read through the half tables ``ones`` and ``twos`` that
     ``_relabeled_rows`` shares. A sampled row's ``millis`` is the wall time
     of its fold, solve and witness read, in whole ns over 1e6; a row on at
-    most 4 vertices gets its share of its labeled base's wall time.
+    most 4 vertices gets its share of its isomorphism class's wall time.
     """
     for n in range(3, n_max + 1):
         bounds = predicted_bounds_functigraph(n)
@@ -480,25 +482,30 @@ def _relabeled_rows(
     """``bounds-range`` rows of every connected labeled base on n vertices
     under every map, in ``all_graphs`` then ``all_maps`` order.
 
-    Only the first base G of each isomorphism class is solved, and only
-    under the first map h0 of each orbit of ``map_orbits(G)``: F(G, sigma
-    h0 tau) is F(G, h0) with its first copy moved by tau^-1 and its second
-    by sigma. Moving a base by ``perm`` and its map g to ``perm g perm^-1``
-    moves both copies by ``perm``, so the base ``permute_graph(G, perm)``
-    under g reads h = perm^-1 g perm = sigma h0 tau. Its locating-dominating
-    sets are those of F(G, h0) moved by perm tau^-1 on copy one and by perm
-    sigma on copy two, and its witness is the lex-least image of h0's
-    minimum sets. G under h0 is solved with no functigraph built: its
-    constraint rows, the XOR of G's base parts, kept with its class, and
-    h0's map parts, go to ``solver._fold_layer``. In the position order of
-    that fold's minimum layer each n-bit half of a position is moved by the
-    table of its copy's permutation, and the lex-least image is the highest.
-    One ``_least_code`` per base gives its class, ``perm`` and, for G, the
-    automorphisms. A base's rows are built in one batch once its clock is
-    read, and each row's ``millis`` is its share of the base's wall time,
-    split evenly in whole ns over 1e6. That time covers the canonical
-    search, any orbit representative first folded there (with the class's
-    ``map_orbits`` on G) and the derivations.
+    The first base G of each isomorphism class comes before the others. Its
+    images under the n! permutations p are the class's labeled bases B, and
+    each p with ``permute_graph(G, p) == B`` is an isomorphism onto B. For
+    two of them, alpha and beta, moving copy one of F(G, h0) by alpha and
+    copy two by beta gives F(B, beta h0 alpha^-1). So only G is solved,
+    under each map h0 whose own row is still unanswered, in ``all_maps``
+    order, and the answer is pushed to every row it reaches. G's base parts
+    XOR h0's map parts are its constraint rows, which ``solver._fold_layer``
+    solves with no functigraph built. The pairs with B = G reach h0's orbit
+    under f -> sigma f tau for automorphisms sigma and tau, so there is one
+    fold per orbit.
+
+    The pushed rows are sound. Two pairs onto one B differ by automorphisms
+    of G, so a row is reached only from the first map of its own orbit. Each
+    pair that reaches it is an isomorphism of the two functigraphs, so each
+    carries h0's minimum sets onto the row's own. Its witness is the
+    lex-least of them, the highest image position, with alpha moving each
+    n-bit upper half and beta each lower half.
+
+    Answers wait in ``pending``, keyed by their base's adjacency, until the
+    base's turn builds its rows. Each row's ``millis`` is its share of its
+    class's wall time, split evenly over the class's rows (labeled bases
+    times n**n) in whole ns over 1e6. That time covers the isomorphism
+    enumeration, the orbit folds and every derivation.
     """
     maps = list(all_maps(n))
     map_strs = [_map_str(fmap) for fmap in maps]
@@ -506,64 +513,65 @@ def _relabeled_rows(
     low = (1 << n) - 1
     # position -> the members it stands for, shared by the rows it serves
     witness_of = [ones[p >> n] + twos[p & low] for p in range(1 << 2 * n)]
-    # permutation p -> half table: entry x is half x with each vertex v moved
-    # to p[v]
-    tables: dict[tuple[int, ...], list[int]] = {}
-    # class key -> (first order of the first base G, its map_orbits, its
-    # base parts, first map index of an orbit -> (value, match, the minimum
-    # sets as upper half -> lower halves))
-    classes: dict[tuple, tuple] = {}
+    # one record per permutation p: p, the half table (entry x is half x with
+    # each vertex v moved to p[v]), and for every map h in all_maps order the
+    # index of p h and the index of h p^-1; each is built one digit at a time
+    moves = []
+    for p in permutations(range(n)):
+        table, after, before = [0], [0], [0]
+        for v in range(n):
+            bit, step = 1 << n - 1 - p[v], n ** (n - 1 - p[v])
+            table = [x | b for x in table for b in (0, bit)]
+            after = [at * n + p[t] for at in after for t in range(n)]
+            before = [at + t * step for at in before for t in range(n)]
+        moves.append((p, table, after, before))
+    # labeled base -> its rows' (value, match, witness) and millis
+    pending: dict[tuple[int, ...], tuple[list[tuple], float]] = {}
     for base in all_graphs(n):
         if not is_connected(base):
             continue
-        started = perf_counter_ns()
-        key, orders = _least_code(base)
-        if key not in classes:
-            classes[key] = (
-                orders[0], *map_orbits(base, orders), _base_parts(base), [None] * len(maps)
-            )
-        first, auts, orbits, base_parts, answers = classes[key]
-        perm, inverse = _carry(first, orders[0]), _carry(orders[0], first)
-        moved = []
-        for aut in auts:
-            p = tuple(perm[v] for v in aut)
-            if p not in tables:
-                tables[p] = [sum(1 << n - 1 - p[v] for v in members) for members in ones]
-            moved.append(tables[p].__getitem__)
-        # the index of perm^-1 g perm for every g in all_maps order: g's
-        # digit v, of value t, is digit inverse[v] of value inverse[t] there
-        conjugated = [0]
-        for v in range(n):
-            step = n ** (n - 1 - inverse[v])
-            conjugated = [at + inverse[t] * step for at in conjugated for t in range(n)]
-        # (h0, i) -> the highest upper half under moved[i], kept per base
-        uppers = {}
-        derived = []
-        for index in conjugated:
-            h0, i, j = orbits[index]
-            answer = answers[h0]
-            if answer is None:
-                # maps come in all_maps order, so this is G under h0 itself
-                value, layer = _fold_layer(2 * n, map(xor, base_parts, _map_parts(maps[h0])))
+        if base.adj not in pending:
+            started = perf_counter_ns()
+            # each labeled base of the class -> the isomorphisms from G onto
+            # it and its rows
+            onto: dict[tuple[int, ...], tuple[list[tuple], list]] = {}
+            for move in moves:
+                adj = permute_graph(base, move[0]).adj
+                if adj not in onto:
+                    onto[adj] = [], [None] * len(maps)
+                onto[adj][0].append(move)
+            answered = onto[base.adj][1]
+            base_parts = _base_parts(base)
+            for h0, fmap in enumerate(maps):
+                if answered[h0] is not None:
+                    continue
+                value, layer = _fold_layer(2 * n, map(xor, base_parts, _map_parts(fmap)))
+                match = bounds.lower <= value <= bounds.upper
+                # the minimum sets as upper half -> lower halves
                 halves: dict[int, list[int]] = {}
                 while layer:
                     top = layer.bit_length() - 1
                     layer ^= 1 << top
                     halves.setdefault(top >> n, []).append(top & low)
-                answer = answers[h0] = (value, bounds.lower <= value <= bounds.upper, halves)
-            value, match, halves = answer
-            one = moved[i]
-            # the highest image has the highest upper half, then lower half
-            upper = uppers.get((h0, i))
-            if upper is None:
-                upper = uppers[h0, i] = max(halves, key=one)
-            top = one(upper) << n | max(map(moved[j], halves[upper]))
-            derived.append((value, match, witness_of[top]))
-        millis = (perf_counter_ns() - started) // len(derived) / 1e6
+                for isos, rows in onto.values():
+                    for _, one, _, before in isos:
+                        # the highest image has the highest upper half, then
+                        # the highest lower half
+                        upper = max(halves, key=one.__getitem__)
+                        high, lowers = one[upper] << n, halves[upper]
+                        for _, two, after, _ in isos:
+                            g = before[after[h0]]
+                            if rows[g] is None:
+                                top = high | max(map(two.__getitem__, lowers))
+                                rows[g] = (value, match, witness_of[top])
+            millis = (perf_counter_ns() - started) // (len(onto) * len(maps)) / 1e6
+            for adj, (_, rows) in onto.items():
+                pending[adj] = rows, millis
+        rows, millis = pending.pop(base.adj)
         prefix = f"edges={_edge_str(base)} map="
         yield from [
             CaseRow("bounds-range", n, prefix + map_str, predicted, value, match, millis, witness)
-            for map_str, (value, match, witness) in zip(map_strs, derived)
+            for map_str, (value, match, witness) in zip(map_strs, rows)
         ]
 
 

@@ -7,8 +7,9 @@ import random
 
 import pytest
 
-from locdom import families, theorems
+from locdom import theorems
 from locdom.families import (
+    canonical_form,
     complete_graph,
     constant_map,
     h_graph,
@@ -395,23 +396,22 @@ class TestVerifySuite:
         assert verify_suite(config).total == 2 + 4 * 27 + 1 + 38 * 256
         assert solves == {3: 13, 4: 232}
 
-    def test_least_code_runs_once_per_labeled_base(self, monkeypatch):
-        # key, relabeling and the automorphisms of a class's first base all
-        # come from one canonical search per connected labeled base
+    def test_each_class_enumerates_its_isomorphisms_once(self, monkeypatch):
+        # the first base of each class is relabeled by every permutation, once;
+        # no other labeled base is searched: 2 classes on 3 vertices, 6 on 4
         calls = []
-        least_code = families._least_code
+        relabel = theorems.permute_graph
 
-        def counted(g):
+        def counted(g, perm):
             calls.append(g.n)
-            return least_code(g)
+            return relabel(g, perm)
 
-        monkeypatch.setattr(families, "_least_code", counted)
-        monkeypatch.setattr(theorems, "_least_code", counted)
+        monkeypatch.setattr(theorems, "permute_graph", counted)
         config = VerifyConfig(
             n_max_complete=1, n_max_hi=3, n_max_bounds=4, include_gap_lemma=False
         )
         verify_suite(config)
-        assert (calls.count(3), calls.count(4), len(calls)) == (4, 38, 42)
+        assert (calls.count(3), calls.count(4), len(calls)) == (2 * 6, 6 * 24, 156)
 
     @staticmethod
     def masked_json_digest(report):
@@ -443,8 +443,9 @@ class TestVerifySuite:
         assert all(r.millis == 0.0 for r in read_off)
 
     def test_derived_bounds_rows_share_their_base_time(self):
-        # an exhaustive bounds-range row's millis is its labeled base's wall
-        # time split evenly over the base's n**n rows, in whole ns
+        # an exhaustive bounds-range row's millis is its class's wall time
+        # split evenly over the class's rows, in whole ns, so every row of a
+        # labeled base, and every labeled base of one class, carries the same
         config = VerifyConfig(
             n_max_complete=1, n_max_hi=3, n_max_bounds=4, include_gap_lemma=False
         )
@@ -459,6 +460,14 @@ class TestVerifySuite:
             bases.setdefault((r.n, base), set()).add(r.millis)
         assert len(bases) == 4 + 38
         assert all(len(shares) == 1 for shares in bases.values()), bases
+        classes: dict[tuple, set[float]] = {}
+        for (n, base), shares in bases.items():
+            edges = base.removeprefix("edges=").split()
+            pairs = [tuple(map(int, edge.split("-"))) for edge in edges]
+            key = canonical_form(Graph.from_edges(n, pairs))
+            classes.setdefault(key, set()).update(shares)
+        assert len(classes) == 2 + 6
+        assert all(len(shares) == 1 for shares in classes.values()), classes
 
     def test_bounds_rows_respect_the_counting_bound(self):
         # F has 2n vertices, so no bounds-range value is below
