@@ -17,7 +17,7 @@ import sys
 from typing import IO
 
 from .families import FAMILY_KINDS, FamilySpec, make_family, parse_map
-from .functigraph import Functigraph, build_functigraph, functigraph_from_json_dict
+from .functigraph import build_functigraph, functigraph_from_json_dict
 from .graph import (
     Graph,
     graph_from_edge_text,
@@ -36,11 +36,9 @@ def _read_text(path: str | None) -> str:
         return fh.read()
 
 
-def _load_input(
-    text: str, map_spec: str | None, require_functigraph: bool
-) -> tuple[Graph, Functigraph | None]:
-    """Parse a Graph or Functigraph (JSON sniffed by the leading brace and the
-    "map" key, anything else treated as edge-list text)."""
+def _load_input(text: str, map_spec: str | None, require_functigraph: bool) -> Graph:
+    """Parse a Graph, or a Functigraph's graph (JSON sniffed by the leading
+    brace and the "map" key, anything else treated as edge-list text)."""
     stripped = text.lstrip()
     if not stripped:
         raise ValueError("empty input")
@@ -52,17 +50,15 @@ def _load_input(
         if isinstance(data, dict) and "map" in data:
             if map_spec is not None:
                 raise ValueError("--map conflicts with functigraph input")
-            fg = functigraph_from_json_dict(data)
-            return fg.graph, fg
+            return functigraph_from_json_dict(data).graph
         base = graph_from_json_dict(data)
     else:
         base = graph_from_edge_text(text)
     if map_spec is not None:
-        fg = build_functigraph(base, parse_map(map_spec, base.n))
-        return fg.graph, fg
+        return build_functigraph(base, parse_map(map_spec, base.n)).graph
     if require_functigraph:
         raise ValueError("--functigraph needs functigraph JSON input or --map")
-    return base, None
+    return base
 
 
 def _emit_solve(result: SolveResult, as_json: bool) -> None:
@@ -88,20 +84,20 @@ def _emit_solve(result: SolveResult, as_json: bool) -> None:
 
 
 def cmd_lambda(args: argparse.Namespace) -> int:
-    g, _ = _load_input(_read_text(args.graph), args.map, args.functigraph)
+    g = _load_input(_read_text(args.graph), args.map, args.functigraph)
     result = lambda_exact(g, use_twin_pruning=not args.no_prune)
     _emit_solve(result, args.json)
     return 0
 
 
 def cmd_oracle(args: argparse.Namespace) -> int:
-    g, _ = _load_input(_read_text(args.graph), args.map, args.functigraph)
+    g = _load_input(_read_text(args.graph), args.map, args.functigraph)
     _emit_solve(lambda_oracle(g), args.json)
     return 0
 
 
 def cmd_twins(args: argparse.Namespace) -> int:
-    g, _ = _load_input(_read_text(args.graph), args.map, args.functigraph)
+    g = _load_input(_read_text(args.graph), args.map, args.functigraph)
     partition = twin_partition(g)
     if args.json:
         payload = {

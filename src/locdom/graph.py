@@ -124,8 +124,10 @@ class Graph:
         full = (1 << self.n) - 1
         ends = mirrored = 0
         for u, row in enumerate(adj):
-            if row < 0 or row & ~full or row >> u & 1:
-                break
+            if row < 0 or row & ~full:
+                raise ValueError(f"neighbors of vertex {u} out of range")
+            if row >> u & 1:
+                raise ValueError(f"self-loop at vertex {u}")
             ends += row.bit_count()
             # each edge is checked once, from its lower end
             row >>= u
@@ -133,30 +135,13 @@ class Graph:
                 low = row & -row
                 row ^= low
                 mirrored += adj[u + low.bit_length() - 1] >> u & 1
-        else:
-            # the mirrored entries above the diagonal have as many mirrors
-            # below it, so the count holds only when those are all entries
-            if ends == 2 * mirrored:
-                return
-        self._reject()
-
-    def _reject(self) -> None:
-        """Raise ``ValueError`` naming the first fault of ``adj`` in row order."""
-        full = (1 << self.n) - 1
-        for u, row in enumerate(self.adj):
-            if row < 0 or row & ~full:
-                raise ValueError(f"neighbors of vertex {u} out of range")
-            if row >> u & 1:
-                raise ValueError(f"self-loop at vertex {u}")
-        # full symmetry scan; constructors must never produce a directed pair
-        adj = self.adj
-        for u, row in enumerate(adj):
-            while row:
-                low = row & -row
-                row ^= low
-                v = low.bit_length() - 1
-                if not adj[v] >> u & 1:
-                    raise ValueError(f"asymmetric adjacency between {u} and {v}")
+        # the mirrored entries above the diagonal have as many mirrors below
+        # it, so the count holds only when those are all entries
+        if ends != 2 * mirrored:
+            for u, row in enumerate(adj):
+                for v in bits(row):
+                    if not adj[v] >> u & 1:
+                        raise ValueError(f"asymmetric adjacency between {u} and {v}")
 
     @classmethod
     def _trusted(cls, n: int, adj: tuple[int, ...]) -> "Graph":
@@ -232,35 +217,45 @@ def neighborhood(g: Graph, u: int, closed: bool = False) -> VertexSet:
     return VertexSet(g.n, mask)
 
 
-def twin_partition(g: Graph) -> TwinPartition:
-    """Group vertices into maximal twin classes.
+def _twin_classes(adj: Sequence[int]) -> list[int]:
+    """Masks of the maximal twin classes of the graph with rows ``adj``, in
+    order of smallest member.
 
-    Vertices sharing a closed neighborhood form adjacent-twin classes; the
-    remaining vertices sharing an open neighborhood form non-adjacent-twin
-    classes; everything else is a singleton. In a simple graph no pair can
-    satisfy both relations, so testing the adjacent relation first only
-    shapes the scan, not the result. Classes are reported in order of their
-    smallest member.
+    u and v are twins when ``N(u) = N(v)`` or ``N[u] = N[v]``. No N(u) equals
+    an N[v]: v in N[v] = N(u) would put u in N[v] = N(u). So both kinds of
+    key share one table, and a class is found by the key its first member
+    stored.
     """
-    by_closed: dict[int, list[int]] = {}
-    for v in range(g.n):
-        by_closed.setdefault(g.adj[v] | 1 << v, []).append(v)
-    grouped: list[tuple[list[int], str]] = []
-    rest: list[int] = []
-    for group in by_closed.values():
-        if len(group) >= 2:
-            grouped.append((group, ADJACENT_TWINS))
+    classes: list[int] = []
+    first: dict[int, int] = {}
+    for v, a in enumerate(adj):
+        bit = 1 << v
+        i = first.get(a, first.get(a | bit))
+        if i is None:
+            first[a] = first[a | bit] = len(classes)
+            classes.append(bit)
         else:
-            rest.append(group[0])
-    by_open: dict[int, list[int]] = {}
-    for v in rest:
-        by_open.setdefault(g.adj[v], []).append(v)
-    for group in by_open.values():
-        grouped.append((group, NON_ADJACENT_TWINS if len(group) >= 2 else SINGLETON))
-    grouped.sort(key=lambda entry: entry[0][0])
-    return TwinPartition(
-        tuple(TwinClass(VertexSet.of(g.n, members), kind) for members, kind in grouped)
-    )
+            classes[i] |= bit
+    return classes
+
+
+def twin_partition(g: Graph) -> TwinPartition:
+    """Group vertices into maximal twin classes, in order of smallest member.
+
+    A class of two or more holds adjacent twins when its lowest member is
+    adjacent to the rest, else non-adjacent twins; a lone vertex is a singleton.
+    """
+    classes = []
+    for mask in _twin_classes(g.adj):
+        low = mask & -mask
+        if mask == low:
+            kind = SINGLETON
+        elif g.adj[low.bit_length() - 1] & mask:
+            kind = ADJACENT_TWINS
+        else:
+            kind = NON_ADJACENT_TWINS
+        classes.append(TwinClass(VertexSet(g.n, mask), kind))
+    return TwinPartition(tuple(classes))
 
 
 def is_connected(g: Graph) -> bool:

@@ -32,8 +32,8 @@ The search starts from the larger of two sound lower bounds, reported as
 * twins: u < v are twins when ``N(u) = N(v)`` or ``N[u] = N[v]``, which is
   when their pair row is just ``{u, v}``. Swapping twins is an
   automorphism, so the lexicographically least solution of each size
-  contains every such u; that forced twin core (``_twin_core``) may seed
-  the search.
+  contains every such u; that forced twin core, all but the highest member
+  of each class of ``graph._twin_classes``, may seed the search.
 
 The bounds sweep in ``theorems`` solves thousands of functigraphs of order
 at most 12 that it holds as constraint rows alone, XORed from base and map
@@ -58,7 +58,7 @@ from itertools import combinations
 from operator import and_
 from typing import Iterable
 
-from .graph import Graph, TwinPartition, VertexSet
+from .graph import Graph, TwinPartition, VertexSet, _twin_classes
 # not called here; perfbench's traced mode wraps this binding by name
 from .graph import twin_partition  # noqa: F401
 
@@ -192,23 +192,6 @@ def _constraint_rows(adj: tuple[int, ...]) -> list[int]:
     return rows
 
 
-def _twin_core(adj: tuple[int, ...]) -> int:
-    """The forced twin core of the graph with rows ``adj``: every vertex with
-    a twin above it.
-
-    u < v are twins when ``N(u) = N(v)`` or ``N[u] = N[v]``. No N(u) equals
-    an N[v]: v in N[v] = N(u) would put u in N[v] = N(u). So both kinds of
-    key share one table.
-    """
-    core = 0
-    last: dict[int, int] = {}
-    for v, a in enumerate(adj):
-        bit = 1 << v
-        core |= last.get(a, 0) | last.get(a | bit, 0)
-        last[a] = last[a | bit] = bit
-    return core
-
-
 def _fold_layer(order: int, rows: Iterable[int]) -> tuple[int, int]:
     """(value, minimum layer) of the graph of order ``order`` whose constraint
     rows are ``rows``.
@@ -302,7 +285,8 @@ def lambda_exact(
     n = g.n
     adj = g.adj
     full = (1 << n) - 1
-    core = _twin_core(adj)
+    # every member of a twin class but its highest
+    core = sum(mask ^ 1 << mask.bit_length() - 1 for mask in _twin_classes(adj))
     start = max(info_lower_bound(n), core.bit_count())
     fixed = core if use_twin_pruning else 0
     # rows the fixed vertices already hit are left out

@@ -59,6 +59,8 @@ TWIN_PAIR = "twin-pair"
 def _complete_regime(n: int, sig: Signature) -> tuple[str, int, str]:
     """(case id, predicted value, anchor) of the functigraph of the complete
     graph on n vertices under any map with preimage signature ``sig``."""
+    if n < 2:
+        raise ValueError("complete-graph predictions need n >= 2")
     if sig.n != n:
         raise ValueError(f"signature {sig.parts} does not sum to {n}")
     k = sig.num_parts
@@ -88,8 +90,6 @@ def predicted_lambda_complete(n: int, sig: Signature) -> int:
     n >= 4; p = 0 with 1 < k < n already forces n >= 4 since every part is
     then at least 2.
     """
-    if n < 2:
-        raise ValueError("complete-graph predictions need n >= 2")
     return _complete_regime(n, sig)[1]
 
 
@@ -100,6 +100,14 @@ def complete_case_id(n: int, sig: Signature) -> str:
 def _hi_regime(n: int, i: int, v_kind: str) -> tuple[str, int]:
     """(case id, predicted value) of the functigraph of ``h_graph(n, i)``
     under a constant map whose image vertex is of kind ``v_kind``."""
+    if v_kind not in (SATURATED, TWIN_PAIR):
+        raise ValueError(f"unknown image-vertex kind {v_kind!r}")
+    if n < 4:
+        raise ValueError("h_graph predictions need n >= 4")
+    if not 1 <= i <= n // 2:
+        raise ValueError(f"need 1 <= i <= floor(n/2), got i={i}")
+    if v_kind == SATURATED and n <= 2 * i:
+        raise ValueError("no saturated vertices remain when i = n/2")
     if n == 4:
         return "hgraph-small", 4
     if i <= n // 2 - 1:
@@ -123,14 +131,6 @@ def predicted_lambda_hi(n: int, i: int, v_kind: str) -> int:
 
     The n = 4 value shadows the general case-1 formula on purpose (4, not 3).
     """
-    if v_kind not in (SATURATED, TWIN_PAIR):
-        raise ValueError(f"unknown image-vertex kind {v_kind!r}")
-    if n < 4:
-        raise ValueError("h_graph predictions need n >= 4")
-    if not 1 <= i <= n // 2:
-        raise ValueError(f"need 1 <= i <= floor(n/2), got i={i}")
-    if v_kind == SATURATED and n <= 2 * i:
-        raise ValueError("no saturated vertices remain when i = n/2")
     return _hi_regime(n, i, v_kind)[1]
 
 
@@ -150,8 +150,10 @@ def hi_target_kind(n: int, i: int, target: int) -> str:
 
 @dataclass(frozen=True)
 class FunctigraphBounds:
-    """Universal range for functigraphs of connected bases of a given order,
-    with the family instances attaining each end."""
+    """Universal range for functigraphs of connected bases of a given order n,
+    with a family instance attaining each end. ``lower_witness`` is the
+    3-vertex path under the identity for every n: from n = 6 on no n-vertex
+    base attains 3, since a 2n-vertex functigraph's counting bound is 4."""
 
     base_order: int
     lower: int

@@ -329,6 +329,23 @@ class TestLambdaExact:
             )
             assert res.lambda_ >= floor
             assert res.stats.pruned_cardinalities_skipped == floor
+        # the start bound against the twin core taken straight from the
+        # pairwise definition: every u with a v > u of N(u) = N(v) or N[u] = N[v]
+        graphs = [g for n in range(1, 6) for g in all_graphs(n)]
+        graphs += [random_graph(rng, rng.randint(1, 16), rng.random()) for _ in range(200)]
+        for _ in range(200):
+            core = random_graph(rng, rng.randint(1, 9), rng.random())
+            graphs.append(with_isolated_and_pendants(rng, core))
+        for g in graphs:
+            twin_core = {
+                u
+                for u, v in combinations(range(g.n), 2)
+                if g.adj[u] == g.adj[v] or g.adj[u] | 1 << u == g.adj[v] | 1 << v
+            }
+            res = lambda_exact(g)
+            assert res.stats.pruned_cardinalities_skipped == max(
+                info_lower_bound(g.n), len(twin_core)
+            )
 
     def test_lex_extraction_matches_oracle(self):
         # the refuted-subproblem table fires from K8 identity, C15 and P10 on

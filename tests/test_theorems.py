@@ -121,6 +121,21 @@ class TestPredictedHi:
         assert hi_case_id(8, 4, TWIN_PAIR) == "hgraph-even-half"
         assert hi_case_id(9, 4, TWIN_PAIR) == "hgraph-odd-half"
 
+    @pytest.mark.parametrize(
+        "case_id, predict, args",
+        [
+            (hi_case_id, predicted_lambda_hi, (3, 1, TWIN_PAIR)),
+            (hi_case_id, predicted_lambda_hi, (8, 4, SATURATED)),
+            (hi_case_id, predicted_lambda_hi, (6, 1, "corner")),
+            (complete_case_id, predicted_lambda_complete, (1, Signature((1,)))),
+        ],
+    )
+    def test_case_ids_reject_what_predictions_reject(self, case_id, predict, args):
+        with pytest.raises(ValueError):
+            predict(*args)
+        with pytest.raises(ValueError):
+            case_id(*args)
+
     def test_target_kind(self):
         assert hi_target_kind(7, 2, 0) == TWIN_PAIR
         assert hi_target_kind(7, 2, 3) == TWIN_PAIR
