@@ -40,9 +40,9 @@ at most 12 that it holds as constraint rows alone, XORed from base and map
 parts (see ``functigraph._base_parts``), and needs every minimum set of
 each. ``_fold_layer`` decides all ``2**n`` subsets of such a graph at once.
 It holds them as the bits of one integer and ANDs in, row by row, the
-subsets that hit the row, read with one lookup from a precomputed per-order
-table indexed by the row itself (``_tables``). The value and every minimum
-set are then read off precomputed size layers.
+subsets that hit the row, one lookup each in a per-order table indexed by
+the row itself, then reads the value and every minimum set off size layers.
+The sweep builds these ``_tables`` once per order it folds, then drops them.
 
 ``lambda_oracle`` is the trust anchor: a plain unpruned enumeration of all
 subsets in ascending cardinality, kept free of every shortcut used by the
@@ -63,8 +63,6 @@ from .graph import Graph, TwinPartition, VertexSet, _twin_classes
 from .graph import twin_partition  # noqa: F401
 
 ORACLE_MAX_ORDER = 24
-# order -> subset tables of ``_tables``, built on first use
-_TABLES: dict[int, tuple[list[int], list[int]]] = {}
 # bytes each of the refuted-subproblem table and the part memo of one
 # ``lambda_exact`` call may hold. A refuted entry is counted as 88 bytes for its
 # dict slot and int header plus one byte per 8 bits of its key, a memo entry as
@@ -147,36 +145,33 @@ def twin_lower_bound(partition: TwinPartition) -> int:
     return sum(len(cls.vertices) - 1 for cls in partition.classes if len(cls.vertices) >= 2)
 
 
-def _tables(n: int) -> tuple[list[int], list[int]]:
-    """Subset tables of order ``n`` for ``_fold_layer``, built on first use.
+def _tables(n: int) -> tuple[list[int], list[int], int]:
+    """Subset tables ``(hits, layers, start)`` of order ``n`` for ``_fold_layer``.
 
     Each table entry is a ``2**n``-bit integer whose bit p stands for the set
     that holds vertex v iff bit ``n - 1 - v`` of p is set. ``hits[k]`` marks
     the sets that meet vertex set ``k``, so a constraint row r is one lookup,
-    ``hits[r]``; ``layers[s]`` marks the sets of size s. At order 12 ``hits``
-    takes about 2.4 MB.
+    ``hits[r]``; ``layers[s]`` marks the sets of size s; ``start`` is the
+    counting bound. Nothing caches them: at order 12 ``hits`` takes 2.4 MB.
     """
-    tables = _TABLES.get(n)
-    if tables is None:
-        ones = (1 << (1 << n)) - 1
-        # the vertex sets with highest vertex v are those below it plus v, and
-        # the sets holding v are the positions p with bit j = n - 1 - v set,
-        # the upper 2**j of every 2 * 2**j positions
-        hits = [0]
-        for v in range(n):
-            run = 1 << n - 1 - v
-            holding = ones // ((1 << 2 * run) - 1) * ((1 << run) - 1 << run)
-            hits += [h | holding for h in hits]
-        # positions below 2**(m + 1) of popcount s: those below 2**m, and
-        # those of popcount s - 1 shifted up by 2**m
-        layers = [1]
-        for m in range(n):
-            layers = [
-                (layers[s] if s <= m else 0) | (layers[s - 1] << (1 << m) if s else 0)
-                for s in range(m + 2)
-            ]
-        tables = _TABLES[n] = (hits, layers)
-    return tables
+    ones = (1 << (1 << n)) - 1
+    # the vertex sets with highest vertex v are those below it plus v, and
+    # the sets holding v are the positions p with bit j = n - 1 - v set,
+    # the upper 2**j of every 2 * 2**j positions
+    hits = [0]
+    for v in range(n):
+        run = 1 << n - 1 - v
+        holding = ones // ((1 << 2 * run) - 1) * ((1 << run) - 1 << run)
+        hits += [h | holding for h in hits]
+    # positions below 2**(m + 1) of popcount s: those below 2**m, and
+    # those of popcount s - 1 shifted up by 2**m
+    layers = [1]
+    for m in range(n):
+        layers = [
+            (layers[s] if s <= m else 0) | (layers[s - 1] << (1 << m) if s else 0)
+            for s in range(m + 2)
+        ]
+    return hits, layers, info_lower_bound(n)
 
 
 def _constraint_rows(adj: tuple[int, ...]) -> list[int]:
@@ -192,24 +187,23 @@ def _constraint_rows(adj: tuple[int, ...]) -> list[int]:
     return rows
 
 
-def _fold_layer(order: int, rows: Iterable[int]) -> tuple[int, int]:
-    """(value, minimum layer) of the graph of order ``order`` whose constraint
-    rows are ``rows``.
+def _fold_layer(tables: tuple, rows: Iterable[int]) -> tuple[int, int]:
+    """(value, minimum layer) of the graph of order n whose constraint rows
+    are ``rows``, through ``tables``, the ``_tables(n)`` its caller holds.
 
     The bounds sweep calls it on orders up to 12, since ``VerifyConfig``
-    caps ``n_max_bounds`` at 6; the tables of an order take about ``4**order``
+    caps ``n_max_bounds`` at 6; the tables of order n take about ``4**n``
     bits, so they are not meant for much larger graphs. ``ok`` starts as
     every subset and one ``reduce`` ANDs in the sets hitting each row, so it
     ends as the locating-dominating sets. The value is the first size from
-    the counting bound with a set in ``ok``. The minimum layer is
+    the tables' counting bound with a set in ``ok``. The minimum layer is
     ``ok`` cut to that size, every locating-dominating set of least size, as
     one integer whose bit p stands for the set that holds vertex v iff bit
-    ``order - 1 - v`` of p is set; of two sets of one size the lex-lesser
+    ``n - 1 - v`` of p is set; of two sets of one size the lex-lesser
     sits higher.
     """
-    hits, layers = _tables(order)
+    hits, layers, size = tables
     ok = reduce(and_, map(hits.__getitem__, rows))
-    size = info_lower_bound(order)
     while not (found := ok & layers[size]):
         size += 1
     return size, found

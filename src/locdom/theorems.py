@@ -50,7 +50,7 @@ from .families import (
 )
 from .functigraph import FunctionMap, Signature, _base_parts, _map_parts, build_functigraph
 from .graph import MAX_ORDER, Graph, is_connected, permute_graph
-from .solver import _fold_layer, lambda_exact
+from .solver import _fold_layer, _tables, lambda_exact
 
 SATURATED = "saturated"
 TWIN_PAIR = "twin-pair"
@@ -405,9 +405,8 @@ def _complete_rows(n_max: int) -> Iterator[CaseRow]:
 def _hi_rows(n_max: int) -> Iterator[CaseRow]:
     for n in range(4, n_max + 1):
         for i in range(1, n // 2 + 1):
-            kinds = [TWIN_PAIR] + ([SATURATED] if n > 2 * i else [])
-            for kind in kinds:
-                target = 0 if kind == TWIN_PAIR else 2 * i
+            for target in (0, 2 * i) if 2 * i < n else (0,):
+                kind = hi_target_kind(n, i, target)
                 fg = build_functigraph(h_graph(n, i), constant_map(n, target))
                 case_id, value = _hi_regime(n, i, kind)
                 yield _row(case_id, n, f"i={i} target={target} kind={kind}", value, fg.graph)
@@ -426,6 +425,9 @@ def _bounds_rows(n_max: int, rng: random.Random) -> Iterator[CaseRow]:
     ``_relabeled_rows`` shares. A sampled row's ``millis`` is the wall time
     of its fold, solve and witness read, in whole ns over 1e6; a row on at
     most 4 vertices gets its share of its isomorphism class's wall time.
+
+    Each n builds the subset tables of order 2n (``solver._tables``) once,
+    after its classes on n >= 5, and drops them before the next n.
     """
     for n in range(3, n_max + 1):
         bounds = predicted_bounds_functigraph(n)
@@ -452,19 +454,22 @@ def _bounds_rows(n_max: int, rng: random.Random) -> Iterator[CaseRow]:
         ones = [tuple(v for v in range(n) if x >> n - 1 - v & 1) for x in range(1 << n)]
         twos = [tuple(n + v for v in members) for members in ones]
         if n <= 4:
-            yield from _relabeled_rows(n, bounds, ones, twos)
+            yield from _relabeled_rows(n, bounds, ones, twos, _tables(2 * n))
             continue
         predicted = f"{bounds.lower}..{bounds.upper}"
         low = (1 << n) - 1
         maps = _sampled_maps(n, rng)
         map_parts = [_map_parts(fmap) for fmap in maps]
         map_strs = [_map_str(fmap) for fmap in maps]
-        for base in nonisomorphic_connected_graphs(n):
+        bases = nonisomorphic_connected_graphs(n)
+        # built after the classes, whose generation holds tables of its own
+        tables = _tables(2 * n)
+        for base in bases:
             base_parts = _base_parts(base)
             prefix = f"edges={_edge_str(base)} map="
             for parts, map_str in zip(map_parts, map_strs):
                 started = perf_counter_ns()
-                value, layer = _fold_layer(2 * n, map(xor, base_parts, parts))
+                value, layer = _fold_layer(tables, map(xor, base_parts, parts))
                 top = layer.bit_length() - 1
                 yield CaseRow(
                     "bounds-range",
@@ -476,10 +481,11 @@ def _bounds_rows(n_max: int, rng: random.Random) -> Iterator[CaseRow]:
                     (perf_counter_ns() - started) / 1e6,
                     ones[top >> n] + twos[top & low],
                 )
+        del tables
 
 
 def _relabeled_rows(
-    n: int, bounds: FunctigraphBounds, ones: list[tuple], twos: list[tuple]
+    n: int, bounds: FunctigraphBounds, ones: list[tuple], twos: list[tuple], tables: tuple
 ) -> Iterator[CaseRow]:
     """``bounds-range`` rows of every connected labeled base on n vertices
     under every map, in ``all_graphs`` then ``all_maps`` order.
@@ -547,7 +553,7 @@ def _relabeled_rows(
             for h0, fmap in enumerate(maps):
                 if answered[h0] is not None:
                     continue
-                value, layer = _fold_layer(2 * n, map(xor, base_parts, _map_parts(fmap)))
+                value, layer = _fold_layer(tables, map(xor, base_parts, _map_parts(fmap)))
                 match = bounds.lower <= value <= bounds.upper
                 # the minimum sets as upper half -> lower halves
                 halves: dict[int, list[int]] = {}

@@ -42,7 +42,7 @@ from locdom.graph import (
     permute_graph,
     twin_partition,
 )
-from locdom.solver import _constraint_rows, _fold_layer, lambda_exact
+from locdom.solver import _constraint_rows, _fold_layer, _tables, lambda_exact
 
 
 class TestFamilies:
@@ -285,8 +285,12 @@ def maps_with_automorphisms(draw):
     return g, targets, draw(st.sampled_from(auts)), draw(st.sampled_from(auts))
 
 
+# the fold's subset tables of each functigraph order the strategy draws
+FOLD_TABLES = {order: _tables(order) for order in (4, 6, 8, 10)}
+
+
 def minimum_sets(g: Graph) -> tuple[int, set[frozenset[int]]]:
-    value, layer = _fold_layer(g.n, _constraint_rows(g.adj))
+    value, layer = _fold_layer(FOLD_TABLES[g.n], _constraint_rows(g.adj))
     return value, {
         frozenset(v for v in range(g.n) if p >> g.n - 1 - v & 1) for p in bits(layer)
     }

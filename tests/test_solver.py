@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from locdom import solver
+from locdom import solver, theorems
 from locdom.families import (
     complete_graph,
     constant_map,
@@ -30,7 +30,7 @@ from locdom.solver import (
     trace,
     twin_lower_bound,
 )
-from locdom.theorems import predicted_lambda_complete, verify_suite
+from locdom.theorems import VerifyConfig, predicted_lambda_complete, verify_suite
 
 
 def naive_is_ld(g, members):
@@ -492,11 +492,11 @@ class TestLambdaExact:
             assert res.stats.elapsed >= 0.0
 
 
-def layer_answer(g):
-    """(value, witness, start bound) read from ``_fold_layer`` and the
-    independent twin partition: the layer's highest position is the lex-least
-    minimum set."""
-    value, layer = _fold_layer(g.n, _constraint_rows(g.adj))
+def layer_answer(g, tables):
+    """(value, witness, start bound) read from ``_fold_layer`` through the
+    tables of g's order and the independent twin partition: the layer's
+    highest position is the lex-least minimum set."""
+    value, layer = _fold_layer(tables, _constraint_rows(g.adj))
     top = layer.bit_length() - 1
     witness = VertexSet.of(g.n, [v for v in range(g.n) if top >> (g.n - 1 - v) & 1])
     start = max(info_lower_bound(g.n), twin_lower_bound(twin_partition(g)))
@@ -544,13 +544,14 @@ class TestTablePass:
 
     def test_cores_agree_on_random_graphs(self):
         rng = random.Random(59)
+        tables = {n: _tables(n) for n in range(1, 13)}
         for i in range(2000):
             if i % 2:
                 core = random_graph(rng, rng.randint(1, 9), rng.uniform(0.0, 1.0))
                 g = with_isolated_and_pendants(rng, core)
             else:
                 g = random_graph(rng, rng.randint(1, 12), rng.uniform(0.0, 1.0))
-            table = layer_answer(g)
+            table = layer_answer(g, tables[g.n])
             for pruning in (True, False):
                 res = lambda_exact(g, use_twin_pruning=pruning)
                 assert (res.lambda_, res.witness, res.stats.pruned_cardinalities_skipped) == table
@@ -564,7 +565,8 @@ class TestTablePass:
             return sum(1 << p for p, m in enumerate(sets) if m & k)
 
         for n in range(1, 9):
-            hits, layers = _tables(n)
+            hits, layers, start = _tables(n)
+            assert start == info_lower_bound(n)
             sets = sets_of(n)
             assert layers == [
                 sum(1 << p for p, m in enumerate(sets) if m.bit_count() == size)
@@ -573,22 +575,35 @@ class TestTablePass:
             assert len(hits) == 1 << n
             for k in range(1 << n):
                 assert hits[k] == meeting(sets, k)
-        hits, _ = _tables(12)
+        hits, _, _ = _tables(12)
         sets = sets_of(12)
         for k in random.Random(12).sample(range(1 << 12), 300):
             assert hits[k] == meeting(sets, k)
 
     def test_only_the_bounds_sweep_builds_tables(self, monkeypatch):
-        monkeypatch.setattr(solver, "_TABLES", {})
+        # the sweep builds each order's tables once per call and keeps none
+        built = []
+        build = theorems._tables
+
+        def counted(n):
+            built.append(n)
+            return build(n)
+
+        monkeypatch.setattr(theorems, "_tables", counted)
+        monkeypatch.setattr(solver, "_tables", counted)
         rng = random.Random(67)
         graphs = [random_graph(rng, n, rng.uniform(0.2, 0.8)) for n in range(1, 13)]
         graphs.append(build_functigraph(complete_graph(6), identity_map(6)).graph)
         for g in graphs:
             assert lambda_exact(g).lambda_ == lambda_oracle(g).lambda_
-        assert solver._TABLES == {}
+        assert built == []
         # the default sweep folds functigraphs of bases on 3 to 5 vertices
         assert verify_suite().all_match
-        assert set(solver._TABLES) == {6, 8, 10}
+        assert built == [6, 8, 10]
+        assert verify_suite().all_match
+        assert built == [6, 8, 10] * 2
+        assert verify_suite(VerifyConfig(n_max_bounds=6)).all_match
+        assert built == [6, 8, 10] * 3 + [12]
 
 
 class TestMinimumLayer:
@@ -597,8 +612,8 @@ class TestMinimumLayer:
     corrupt only those."""
 
     @staticmethod
-    def check(g):
-        size, layer = _fold_layer(g.n, _constraint_rows(g.adj))
+    def check(g, tables):
+        size, layer = _fold_layer(tables, _constraint_rows(g.adj))
         # position p stands for the set holding v iff bit n - 1 - v of p is set
         sets = {sum(1 << v for v in range(g.n) if p >> (g.n - 1 - v) & 1) for p in bits(layer)}
         brute = {
@@ -616,15 +631,18 @@ class TestMinimumLayer:
     def test_every_labeled_graph_up_to_five(self):
         count = 0
         for n in range(1, 6):
+            tables = _tables(n)
             for g in all_graphs(n):
-                self.check(g)
+                self.check(g, tables)
                 count += 1
         assert count == 1099
 
     def test_random_graphs_up_to_ten(self):
         rng = random.Random(61)
+        tables = {n: _tables(n) for n in range(6, 11)}
         for _ in range(150):
-            self.check(random_graph(rng, rng.randint(6, 10), rng.uniform(0.1, 0.9)))
+            g = random_graph(rng, rng.randint(6, 10), rng.uniform(0.1, 0.9))
+            self.check(g, tables[g.n])
 
 
 class TestLambdaOracle:

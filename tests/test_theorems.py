@@ -3,7 +3,12 @@ import hashlib
 import io
 import json
 import math
+import os
 import random
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 
@@ -357,9 +362,10 @@ class TestVerifySuite:
             calls["solve"] += 1
             return solve(*args)
 
-        def counted_fold(order, rows):
+        def counted_fold(tables, rows):
+            order = len(tables[0]).bit_length() - 1
             fold_orders[order] = fold_orders.get(order, 0) + 1
-            return fold(order, rows)
+            return fold(tables, rows)
 
         def counted_classes(n):
             orders.append(n)
@@ -400,9 +406,9 @@ class TestVerifySuite:
         solves = {3: 0, 4: 0}
         fold = theorems._fold_layer
 
-        def counted(order, rows):
-            solves[order // 2] += 1
-            return fold(order, rows)
+        def counted(tables, rows):
+            solves[(len(tables[0]).bit_length() - 1) // 2] += 1
+            return fold(tables, rows)
 
         monkeypatch.setattr(theorems, "_fold_layer", counted)
         config = VerifyConfig(
@@ -427,6 +433,39 @@ class TestVerifySuite:
         )
         verify_suite(config)
         assert (calls.count(3), calls.count(4), len(calls)) == (2 * 6, 6 * 24, 156)
+
+    def test_sweeps_keep_no_module_state(self):
+        # a sweep's tables and answers belong to the call: no module-level
+        # dict, list or set of a locdom module changes size across a default
+        # and an n_max_bounds = 6 sweep. A fresh interpreter starts every
+        # such container as the package leaves it at import
+        script = textwrap.dedent(
+            """
+            import sys
+            from locdom.theorems import VerifyConfig, verify_suite
+
+            def sizes():
+                return {
+                    (name, attr): len(value)
+                    for name, module in list(sys.modules.items())
+                    if name.partition(".")[0] == "locdom"
+                    for attr, value in vars(module).items()
+                    if not attr.startswith("__") and isinstance(value, (dict, list, set))
+                }
+
+            before = sizes()
+            assert verify_suite().all_match
+            assert verify_suite(VerifyConfig(n_max_bounds=6)).all_match
+            after = sizes()
+            print(sorted(k for k in before.keys() | after.keys() if before.get(k) != after.get(k)))
+            """
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(theorems.__file__).parents[1]))
+        proc = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "[]\n"
 
     @staticmethod
     def masked_json_digest(report):
