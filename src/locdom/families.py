@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from itertools import combinations, permutations, product
+from itertools import combinations, product
 from typing import Iterator, Sequence
 
 from .functigraph import FunctionMap, Signature
@@ -224,34 +224,6 @@ def connected_graphs(n: int) -> Iterator[Graph]:
     for g in all_graphs(n):
         if is_connected(g):
             yield g
-
-
-def canonical_form(g: Graph) -> tuple:
-    """Isomorphism-invariant key ``(n, sorted degrees, code)``, where the code
-    is the least adjacency code (upper triangle, row by row) over the vertex
-    orders that list the vertices by degree. Intended for small graphs;
-    regular graphs fall back to all permutations of their order.
-
-    It serves callers and tests as an isomorphism key; class generation in
-    :func:`nonisomorphic_connected_graphs` does not use it.
-    """
-    n = g.n
-    degree_of = [g.adj[v].bit_count() for v in range(n)]
-    groups: dict[int, list[int]] = {}
-    for v in range(n):
-        groups.setdefault(degree_of[v], []).append(v)
-    blocks = [groups[d] for d in sorted(groups)]
-    best: int | None = None
-    for choice in product(*(permutations(block) for block in blocks)):
-        order = [v for block in choice for v in block]
-        code = 0
-        for a in range(n):
-            row = g.adj[order[a]]
-            for b in range(a + 1, n):
-                code = code << 1 | (row >> order[b] & 1)
-        if best is None or code < best:
-            best = code
-    return (n, tuple(sorted(degree_of)), best)
 
 
 def nonisomorphic_connected_graphs(n: int) -> list[Graph]:

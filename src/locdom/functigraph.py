@@ -175,10 +175,12 @@ def _map_parts(fmap: FunctionMap) -> list[int]:
     """The map parts of the constraint rows of every functigraph under
     ``fmap``, matching ``_base_parts`` index by index."""
     rows = _cross_rows(fmap)
-    parts = rows[:]
-    for u, ru in enumerate(rows):
-        parts += [(ru ^ rows[v]) & ~(1 << u | 1 << v) for v in range(u + 1, len(rows))]
-    return parts
+    # one comprehension over all pairs, as in ``solver._constraint_rows``
+    return rows + [
+        (ru ^ rows[v]) & ~(1 << u | 1 << v)
+        for u, ru in enumerate(rows)
+        for v in range(u + 1, len(rows))
+    ]
 
 
 def preimage_signature(fmap: FunctionMap) -> Signature:

@@ -13,13 +13,13 @@ Predictions cover three instance families:
 ``verify_suite`` checks every swept instance against its exact value and
 reports one row per comparison; a mismatch is a report row, never an
 exception. Each instance is solved exactly, except that on bases of at
-most 4 vertices only the first labeled base of each isomorphism class is
-solved, under the first map of each orbit of its maps, and each answer is
-pushed through the isomorphisms of the class to every instance it reaches
-(see ``_relabeled_rows``). The bounds-range instances, those orbit
-representatives and the sampled instances on larger bases, are solved from
-their constraint rows alone, each the XOR of a base part and a map part,
-with no functigraph built (see ``_bounds_rows``).
+most 4 vertices only the first labeled base G of each isomorphism class is
+solved, under the first map of each orbit of its maps under G's
+automorphisms, and each row of the orbit on G is lifted once to every
+labeled base of the class (see ``_relabeled_rows``). The bounds-range
+instances, those orbit representatives and the sampled instances on larger
+bases, are solved from their constraint rows alone, each the XOR of a base
+part and a map part, with no functigraph built (see ``_bounds_rows``).
 """
 
 from __future__ import annotations
@@ -28,7 +28,8 @@ import csv
 import random
 from collections import namedtuple
 from dataclasses import dataclass, field
-from itertools import chain, permutations
+from functools import partial
+from itertools import chain, repeat
 from operator import xor
 from time import perf_counter_ns
 from typing import IO, Iterator
@@ -183,6 +184,9 @@ CaseRow = namedtuple(
     defaults=("",),
 )
 CaseRow.__doc__ = "One report row: the predicted and the exact value, and a witness."
+# a CaseRow from one iterable of all nine fields, with no Python-level
+# ``__new__`` frame: the bounds sweep builds most rows through it
+_new_row = partial(tuple.__new__, CaseRow)
 
 
 @dataclass(frozen=True)
@@ -347,13 +351,13 @@ def verify_suite(
     the bounds sweep with its sharpness instances, and the gap construction.
     Bases of order up to 4 are swept with every labeled base and every map,
     solving the first base of each class under one map per orbit and
-    pushing each answer to every labeled base of the class (see
-    ``_relabeled_rows``). Larger bases use one representative per
+    lifting each row of the orbit once to every labeled base of the class
+    (see ``_relabeled_rows``). Larger bases use one representative per
     isomorphism class with a deterministic map sample.
 
     The sweep runs in one process and solves the cases in order. Every
     section is streamed: each instance is solved and turned into its row in
-    turn, so none outlives its row; on at most 4 vertices the answers pushed
+    turn, so none outlives its row; on at most 4 vertices the columns lifted
     to a later base of the class wait for its turn. A ``bounds-range`` row's
     ``millis`` is, on at most 4 vertices, its share in whole ns of its
     isomorphism class's wall time (see ``_relabeled_rows``), on a sampled
@@ -453,10 +457,10 @@ def _bounds_rows(n_max: int, rng: random.Random) -> Iterator[CaseRow]:
         # n-bit half of a position -> the members it stands for, in either copy
         ones = [tuple(v for v in range(n) if x >> n - 1 - v & 1) for x in range(1 << n)]
         twos = [tuple(n + v for v in members) for members in ones]
-        if n <= 4:
-            yield from _relabeled_rows(n, bounds, ones, twos, _tables(2 * n))
-            continue
         predicted = f"{bounds.lower}..{bounds.upper}"
+        if n <= 4:
+            yield from _relabeled_rows(n, bounds, predicted, ones, twos, _tables(2 * n))
+            continue
         low = (1 << n) - 1
         maps = _sampled_maps(n, rng)
         map_parts = [_map_parts(fmap) for fmap in maps]
@@ -471,116 +475,137 @@ def _bounds_rows(n_max: int, rng: random.Random) -> Iterator[CaseRow]:
                 started = perf_counter_ns()
                 value, layer = _fold_layer(tables, map(xor, base_parts, parts))
                 top = layer.bit_length() - 1
-                yield CaseRow(
-                    "bounds-range",
-                    n,
-                    prefix + map_str,
-                    predicted,
-                    value,
-                    bounds.lower <= value <= bounds.upper,
-                    (perf_counter_ns() - started) / 1e6,
-                    ones[top >> n] + twos[top & low],
-                )
+                yield _new_row((
+                    "bounds-range", n, prefix + map_str, predicted, value,
+                    bounds.lower <= value <= bounds.upper, (perf_counter_ns() - started) / 1e6,
+                    ones[top >> n] + twos[top & low], "",
+                ))
         del tables
 
 
 def _relabeled_rows(
-    n: int, bounds: FunctigraphBounds, ones: list[tuple], twos: list[tuple], tables: tuple
+    n: int, bounds: FunctigraphBounds, predicted: str, ones: list, twos: list, tables: tuple
 ) -> Iterator[CaseRow]:
     """``bounds-range`` rows of every connected labeled base on n vertices
     under every map, in ``all_graphs`` then ``all_maps`` order.
 
     The first base G of each isomorphism class comes before the others. Its
-    images under the n! permutations p are the class's labeled bases B, and
-    each p with ``permute_graph(G, p) == B`` is an isomorphism onto B. For
-    two of them, alpha and beta, moving copy one of F(G, h0) by alpha and
-    copy two by beta gives F(B, beta h0 alpha^-1). So only G is solved,
-    under each map h0 whose own row is still unanswered, in ``all_maps``
-    order, and the answer is pushed to every row it reaches. G's base parts
-    XOR h0's map parts are its constraint rows, which ``solver._fold_layer``
-    solves with no functigraph built. The pairs with B = G reach h0's orbit
-    under f -> sigma f tau for automorphisms sigma and tau, so there is one
-    fold per orbit.
+    images under the n! permutations are the class's labeled bases B. Those
+    onto G are its automorphisms; those onto B are p_B sigma, for p_B the
+    first of them and each automorphism sigma. Moving copy one of F(G, h0)
+    by alpha and copy two by beta, two of those onto B, gives
+    F(B, beta h0 alpha^-1). So G alone is solved, under the first map h0 of
+    each orbit of f -> tau f sigma^-1, in ``all_maps`` order: G's base parts
+    XOR h0's map parts are the constraint rows ``solver._fold_layer`` folds.
 
-    The pushed rows are sound. Two pairs onto one B differ by automorphisms
-    of G, so a row is reached only from the first map of its own orbit. Each
-    pair that reaches it is an isomorphism of the two functigraphs, so each
-    carries h0's minimum sets onto the row's own. Its witness is the
-    lex-least of them, the highest image position, with alpha moving each
-    n-bit upper half and beta each lower half.
-
-    Answers wait in ``pending``, keyed by their base's adjacency, until the
-    base's turn builds its rows. Each row's ``millis`` is its share of its
-    class's wall time, split evenly over the class's rows (labeled bases
-    times n**n) in whole ns over 1e6. That time covers the isomorphism
-    enumeration, the orbit folds and every derivation.
+    Each fold walks the automorphism pairs (sigma, tau) once on G, keeping
+    each pair whose row tau h0 sigma^-1 is new there. The pair lifts to
+    (p_B sigma, p_B tau) on each B, onto that row conjugated by p_B, so each
+    row of each B is written once. A lifted pair is an isomorphism of the
+    two functigraphs, so it carries h0's minimum sets onto the row's own.
+    The witness is the lex-least of them, the highest image position: alpha
+    moves each n-bit upper half, chosen once per (B, sigma), and beta each
+    lower half. Each B's values, matches and witnesses wait in columns in
+    ``pending`` until its turn builds its rows. A row's ``millis`` is its
+    share of its class's wall time (isomorphisms, folds and lifts), split
+    evenly over its rows (labeled bases times n**n), whole ns over 1e6.
     """
     maps = list(all_maps(n))
     map_strs = [_map_str(fmap) for fmap in maps]
-    predicted = f"{bounds.lower}..{bounds.upper}"
     low = (1 << n) - 1
     # position -> the members it stands for, shared by the rows it serves
     witness_of = [ones[p >> n] + twos[p & low] for p in range(1 << 2 * n)]
-    # one record per permutation p: p, the half table (entry x is half x with
-    # each vertex v moved to p[v]), and for every map h in all_maps order the
-    # index of p h and the index of h p^-1; each is built one digit at a time
-    moves = []
-    for p in permutations(range(n)):
+    # permutation p -> its half table (entry x is half x with each vertex v
+    # moved to p[v]), and for every map h in all_maps order the index of p h
+    # and the index of h p^-1. The swap of 0 and 1 and the cycle v -> v + 1
+    # generate every p; theirs are built one digit at a time, and a walk from
+    # the identity reads each g p's off g's at p's entries
+    gens = []
+    for g in (tuple(range(n)), (1, 0, *range(2, n)), (*range(1, n), 0)):
         table, after, before = [0], [0], [0]
         for v in range(n):
-            bit, step = 1 << n - 1 - p[v], n ** (n - 1 - p[v])
+            bit, step = 1 << n - 1 - g[v], n ** (n - 1 - g[v])
             table = [x | b for x in table for b in (0, bit)]
-            after = [at * n + p[t] for at in after for t in range(n)]
+            after = [at * n + g[t] for at in after for t in range(n)]
             before = [at + t * step for at in before for t in range(n)]
-        moves.append((p, table, after, before))
-    # labeled base -> its rows' (value, match, witness) and millis
-    pending: dict[tuple[int, ...], tuple[list[tuple], float]] = {}
+        gens.append((g, (table, after, before)))
+    moves = dict(gens[:1])
+    for p in (walk := [*moves]):
+        for g, records in gens[1:]:
+            if (q := tuple(map(g.__getitem__, p))) not in moves:
+                moves[q] = [list(map(r.__getitem__, at)) for r, at in zip(records, moves[p])]
+                walk.append(q)
+    pending = {}  # labeled base -> its lift with its columns, and millis
     for base in all_graphs(n):
         if not is_connected(base):
             continue
         if base.adj not in pending:
             started = perf_counter_ns()
-            # each labeled base of the class -> the isomorphisms from G onto
-            # it and its rows
-            onto: dict[tuple[int, ...], tuple[list[tuple], list]] = {}
-            for move in moves:
-                adj = permute_graph(base, move[0]).adj
-                if adj not in onto:
-                    onto[adj] = [], [None] * len(maps)
-                onto[adj][0].append(move)
-            answered = onto[base.adj][1]
+            onto = {}  # labeled base B -> p_B
+            auts = []
+            for p in moves:
+                adj = permute_graph(base, p).adj
+                onto.setdefault(adj, p)
+                if adj == base.adj:
+                    auts.append(p)
+            # per B, G's first: the records of p_B sigma in auts order, then
+            # B's columns of values, matches and witnesses, each entry of
+            # which is written once
+            lifts = [
+                (
+                    [moves[tuple(map(p.__getitem__, s))] for s in auts],
+                    *([0] * n**n for _ in range(3)),
+                )
+                for p in onto.values()
+            ]
+            seen = bytearray(len(maps))
             base_parts = _base_parts(base)
             for h0, fmap in enumerate(maps):
-                if answered[h0] is not None:
+                if seen[h0]:
                     continue
                 value, layer = _fold_layer(tables, map(xor, base_parts, _map_parts(fmap)))
                 match = bounds.lower <= value <= bounds.upper
                 # the minimum sets as upper half -> lower halves
-                halves: dict[int, list[int]] = {}
+                halves = {}
                 while layer:
                     top = layer.bit_length() - 1
                     layer ^= 1 << top
                     halves.setdefault(top >> n, []).append(top & low)
-                for isos, rows in onto.values():
-                    for _, one, _, before in isos:
+                # (sigma, the taus whose row of G is new), by index in auts;
+                # G's own lift, the first, holds the automorphisms' records
+                reached = []
+                for i, (_, _, before) in enumerate(lifts[0][0]):
+                    taus = []
+                    for j, (_, after, _) in enumerate(lifts[0][0]):
+                        if not seen[f := before[after[h0]]]:
+                            seen[f] = 1
+                            taus.append(j)
+                    if taus:
+                        reached.append((i, taus))
+                for lifted, values, matches, witnesses in lifts:
+                    for i, taus in reached:
                         # the highest image has the highest upper half, then
                         # the highest lower half
+                        one, _, before = lifted[i]
                         upper = max(halves, key=one.__getitem__)
-                        high, lowers = one[upper] << n, halves[upper]
-                        for _, two, after, _ in isos:
-                            g = before[after[h0]]
-                            if rows[g] is None:
-                                top = high | max(map(two.__getitem__, lowers))
-                                rows[g] = (value, match, witness_of[top])
+                        high, lows = one[upper] << n, halves[upper]
+                        for j in taus:
+                            two, after, _ = lifted[j]
+                            f = before[after[h0]]
+                            values[f] = value
+                            matches[f] = match
+                            # most rows have one lower half to choose from
+                            witnesses[f] = witness_of[high | (
+                                two[lows[0]] if len(lows) == 1 else max(map(two.__getitem__, lows))
+                            )]
             millis = (perf_counter_ns() - started) // (len(onto) * len(maps)) / 1e6
-            for adj, (_, rows) in onto.items():
-                pending[adj] = rows, millis
-        rows, millis = pending.pop(base.adj)
-        prefix = f"edges={_edge_str(base)} map="
-        yield from [
-            CaseRow("bounds-range", n, prefix + map_str, predicted, value, match, millis, witness)
-            for map_str, (value, match, witness) in zip(map_strs, rows)
-        ]
+            pending.update(zip(onto, zip(lifts, repeat(millis))))
+        (_, values, matches, witnesses), millis = pending.pop(base.adj)
+        params = map(f"edges={_edge_str(base)} map=".__add__, map_strs)
+        yield from map(_new_row, zip(
+            repeat("bounds-range"), repeat(n), params, repeat(predicted), values, matches,
+            repeat(millis), witnesses, repeat(""),
+        ))
 
 
 def _gap_rows(t_max: int) -> Iterator[CaseRow]:

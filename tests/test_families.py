@@ -11,7 +11,6 @@ from locdom.families import (
     FamilySpec,
     all_graphs,
     all_maps,
-    canonical_form,
     complete_graph,
     connected_graphs,
     constant_map,
@@ -43,6 +42,11 @@ from locdom.graph import (
     twin_partition,
 )
 from locdom.solver import _constraint_rows, _fold_layer, _tables, lambda_exact
+
+
+def iso_key(g: Graph) -> tuple[int, ...]:
+    """Brute-force isomorphism key: the least adjacency over every relabeling."""
+    return min(permute_graph(g, p).adj for p in permutations(range(g.n)))
 
 
 class TestFamilies:
@@ -106,7 +110,7 @@ class TestFamilies:
                 assert is_connected(h_graph(n, i))
 
     def test_h_graph_4_2_is_a_4_cycle(self):
-        assert canonical_form(h_graph(4, 2)) == canonical_form(cycle_graph(4))
+        assert permute_graph(h_graph(4, 2), (0, 2, 1, 3)) == cycle_graph(4)
 
     def test_h_graph_guards(self):
         with pytest.raises(ValueError):
@@ -118,7 +122,7 @@ class TestFamilies:
 
     def test_pendant_gap_shape_and_values(self):
         g2 = pendant_gap_graph(2)
-        assert canonical_form(g2) == canonical_form(path_graph(4))
+        assert permute_graph(g2, (1, 2, 3, 0)) == path_graph(4)
         assert lambda_exact(g2).lambda_ == 2
         g3 = pendant_gap_graph(3)
         assert g3.n == 5
@@ -230,13 +234,13 @@ class TestEnumeration:
         def first_per_key(n):
             seen = {}
             for g in connected_graphs(n):
-                seen.setdefault(canonical_form(g), g)
+                seen.setdefault(iso_key(g), g)
             return list(seen.values())
 
         for n in range(1, 6):
             assert nonisomorphic_connected_graphs(n) == first_per_key(n)
         representatives = nonisomorphic_connected_graphs(6)
-        assert len({canonical_form(g) for g in representatives}) == len(representatives) == 112
+        assert len({iso_key(g) for g in representatives}) == len(representatives) == 112
         assert all(is_connected(g) for g in representatives)
         # the representatives and their order, which the verify rows follow
         pinned = {
@@ -257,14 +261,6 @@ class TestEnumeration:
     def test_all_maps_count(self):
         assert sum(1 for _ in all_maps(3)) == 27
 
-    def test_canonical_form_is_isomorphism_invariant(self):
-        rng = random.Random(17)
-        for _ in range(30):
-            g = random_connected_graph(rng, rng.randint(2, 6))
-            perm = list(range(g.n))
-            rng.shuffle(perm)
-            assert canonical_form(permute_graph(g, perm)) == canonical_form(g)
-
     def test_random_connected_is_connected_and_seeded(self):
         a = random_connected_graph(random.Random(9), 8)
         b = random_connected_graph(random.Random(9), 8)
@@ -273,16 +269,35 @@ class TestEnumeration:
 
 
 @st.composite
-def maps_with_automorphisms(draw):
+def maps_on_connected_graphs(draw):
     """A connected graph on 2..5 vertices (a random tree plus random edges,
-    relabeled), a map on it and two of its automorphisms sigma and tau."""
+    relabeled) and a map on it."""
     n = draw(st.integers(2, 5))
     edges = {(draw(st.integers(0, v - 1)), v) for v in range(1, n)}
     edges |= draw(st.sets(st.sampled_from([(u, v) for u in range(n) for v in range(u + 1, n)])))
     g = permute_graph(Graph.from_edges(n, sorted(edges)), draw(st.permutations(range(n))))
-    targets = tuple(draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n)))
-    auts = [p for p in permutations(range(n)) if permute_graph(g, p) == g]
+    return g, tuple(draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n)))
+
+
+@st.composite
+def maps_with_automorphisms(draw):
+    """A connected graph and a map on it, and two of its automorphisms sigma
+    and tau."""
+    g, targets = draw(maps_on_connected_graphs())
+    auts = [p for p in permutations(range(g.n)) if permute_graph(g, p) == g]
     return g, targets, draw(st.sampled_from(auts)), draw(st.sampled_from(auts))
+
+
+@st.composite
+def maps_with_isomorphisms(draw):
+    """A connected graph G and a map on it, and two isomorphisms alpha and
+    beta from G onto one labeled base: any alpha, and beta among the
+    permutations p with the same image of G."""
+    g, targets = draw(maps_on_connected_graphs())
+    alpha = draw(st.permutations(range(g.n)))
+    image = permute_graph(g, alpha)
+    betas = [p for p in permutations(range(g.n)) if permute_graph(g, p) == image]
+    return g, targets, tuple(alpha), draw(st.sampled_from(betas))
 
 
 # the fold's subset tables of each functigraph order the strategy draws
@@ -314,4 +329,26 @@ class TestAutomorphisms:
         image = {
             frozenset(tau_inverse[v] if v < n else n + sigma[v - n] for v in s) for s in sets
         }
+        assert image == other_sets
+
+    @settings(max_examples=150, deadline=None)
+    @given(maps_with_isomorphisms())
+    def test_alpha_beta_carry_the_functigraph_onto_another_base(self, instance):
+        # for B = alpha(G) = beta(G), F(G, h) with copy one moved by alpha and
+        # copy two by beta is F(B, beta h alpha^-1), so the values agree and
+        # the minimum sets correspond: the exhaustive bounds rows lift each
+        # answer on G to the other labeled bases this way
+        g, targets, alpha, beta = instance
+        n = g.n
+        alpha_inverse = [0] * n
+        for u, w in enumerate(alpha):
+            alpha_inverse[w] = u
+        lifted = tuple(beta[targets[alpha_inverse[w]]] for w in range(n))
+        fg = build_functigraph(g, FunctionMap(n, targets)).graph
+        other_fg = build_functigraph(permute_graph(g, alpha), FunctionMap(n, lifted)).graph
+        assert permute_graph(fg, alpha + tuple(n + v for v in beta)) == other_fg
+        value, sets = minimum_sets(fg)
+        other, other_sets = minimum_sets(other_fg)
+        assert other == value
+        image = {frozenset(alpha[v] if v < n else n + beta[v - n] for v in s) for s in sets}
         assert image == other_sets
