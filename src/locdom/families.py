@@ -220,12 +220,6 @@ def all_graphs(n: int) -> Iterator[Graph]:
         yield Graph.from_edges(n, [pairs[j] for j in bits(mask)])
 
 
-def connected_graphs(n: int) -> Iterator[Graph]:
-    for g in all_graphs(n):
-        if is_connected(g):
-            yield g
-
-
 def nonisomorphic_connected_graphs(n: int) -> list[Graph]:
     """One representative per isomorphism class of connected graphs on n vertices.
 
@@ -281,7 +275,10 @@ def random_connected_graph(rng: random.Random, n: int, p: float = 0.5) -> Graph:
 
 
 def random_map_with_signature(rng: random.Random, parts: Sequence[int]) -> FunctionMap:
-    """Uniformly scrambled map whose preimage signature equals ``parts``."""
+    """Uniformly scrambled map whose preimage signature equals ``parts``.
+
+    Kept to drive the tests' signature-determinism properties.
+    """
     sig = Signature(tuple(parts))
     n = sig.n
     vertices = list(range(n))

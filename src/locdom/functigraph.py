@@ -12,13 +12,7 @@ from collections import Counter
 from dataclasses import dataclass
 from operator import or_
 
-from .graph import (
-    Graph,
-    check_order,
-    graph_from_json_dict,
-    graph_to_json_dict,
-    is_connected,
-)
+from .graph import Graph, check_order, graph_from_json_dict, is_connected
 from .solver import _constraint_rows
 
 CONSTANT = "constant"
@@ -47,19 +41,6 @@ class FunctionMap:
                 raise ValueError(f"target of vertex {u} is not an integer")
             if not 0 <= t < self.n:
                 raise ValueError(f"target of vertex {u} out of range")
-
-    @property
-    def image(self) -> tuple[int, ...]:
-        return tuple(sorted(set(self.targets)))
-
-    @property
-    def image_size(self) -> int:
-        return len(set(self.targets))
-
-    def preimage(self, v: int) -> tuple[int, ...]:
-        if not 0 <= v < self.n:
-            raise ValueError(f"vertex {v} out of range")
-        return tuple(u for u, t in enumerate(self.targets) if t == v)
 
 
 @dataclass(frozen=True)
@@ -106,14 +87,6 @@ class Functigraph:
     graph: Graph
     base: Graph
     map: FunctionMap
-
-    @property
-    def base_order(self) -> int:
-        return self.base.n
-
-    def cross_edges(self) -> list[tuple[int, int]]:
-        n = self.base.n
-        return [(u, n + t) for u, t in enumerate(self.map.targets)]
 
 
 def build_functigraph(base: Graph, fmap: FunctionMap) -> Functigraph:
@@ -189,36 +162,21 @@ def preimage_signature(fmap: FunctionMap) -> Signature:
     return Signature(tuple(sorted(counts.values(), reverse=True)))
 
 
-def functi_matchings(fmap: FunctionMap) -> list[tuple[int, int]]:
-    """Cross edges (u, n + v) whose image vertex v has u as its only preimage.
-
-    The number of such edges equals the number of unit parts of the map's
-    preimage signature.
-    """
-    counts = Counter(fmap.targets)
-    return [
-        (fmap.targets.index(v), fmap.n + v) for v in sorted(counts) if counts[v] == 1
-    ]
+def _map_class(sig: Signature) -> str:
+    """Class of every map with preimage signature ``sig``: constant, bijective,
+    or mid-range with or without a functi matching (a unit part)."""
+    k = sig.num_parts
+    if k == 1:
+        return CONSTANT
+    if k == sig.n:
+        return BIJECTIVE
+    return MID_WITH_MATCHING if sig.num_unit_parts else MID_NO_MATCHING
 
 
 def classify(fmap: FunctionMap) -> FunctionClass:
     """Structural class of the map: constant, bijective, or mid-range by matchings."""
     sig = preimage_signature(fmap)
-    k = sig.num_parts
-    p = sig.num_unit_parts
-    if k == 1:
-        kind = CONSTANT
-    elif k == fmap.n:
-        kind = BIJECTIVE
-    elif p == 0:
-        kind = MID_NO_MATCHING
-    else:
-        kind = MID_WITH_MATCHING
-    return FunctionClass(kind, k, p)
-
-
-def functigraph_to_json_dict(fg: Functigraph) -> dict:
-    return {"base": graph_to_json_dict(fg.base), "map": list(fg.map.targets)}
+    return FunctionClass(_map_class(sig), sig.num_parts, sig.num_unit_parts)
 
 
 def functigraph_from_json_dict(data: object) -> Functigraph:

@@ -9,7 +9,6 @@ package targets (at most 128 vertices).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import total_ordering
 from typing import Iterable, Iterator, Sequence
 
 MAX_ORDER = 128
@@ -33,16 +32,13 @@ def bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
-@total_ordering
 @dataclass(frozen=True)
 class VertexSet:
     """Subset of the vertices ``[0, universe)`` of a fixed-order graph.
 
-    Comparisons order sets of one universe lexicographically by their sorted
-    member tuples, the tie-break order used for solver witnesses. Ordering
-    sets of different universes raises ``ValueError``, as ``|``, ``&`` and
-    ``-`` do; such sets are never equal. Subset queries go through
-    :meth:`issubset`; ``|``, ``&`` and ``-`` work as for built-in sets.
+    Set algebra is done on masks: ``VertexSet(n, a.mask | b.mask)`` is the
+    union of two sets of one universe, and the constructor rejects a mask
+    with members outside its universe.
     """
 
     universe: int
@@ -75,35 +71,6 @@ class VertexSet:
 
     def __contains__(self, v: int) -> bool:
         return 0 <= v < self.universe and bool(self.mask >> v & 1)
-
-    def __lt__(self, other: "VertexSet") -> bool:
-        if not isinstance(other, VertexSet):
-            return NotImplemented
-        self._require_same_universe(other)
-        return self.members < other.members
-
-    def _require_same_universe(self, other: "VertexSet") -> None:
-        if self.universe != other.universe:
-            raise ValueError("vertex sets belong to different universes")
-
-    def __or__(self, other: "VertexSet") -> "VertexSet":
-        self._require_same_universe(other)
-        return VertexSet(self.universe, self.mask | other.mask)
-
-    def __and__(self, other: "VertexSet") -> "VertexSet":
-        self._require_same_universe(other)
-        return VertexSet(self.universe, self.mask & other.mask)
-
-    def __sub__(self, other: "VertexSet") -> "VertexSet":
-        self._require_same_universe(other)
-        return VertexSet(self.universe, self.mask & ~other.mask)
-
-    def complement(self) -> "VertexSet":
-        return VertexSet(self.universe, ~self.mask & ((1 << self.universe) - 1))
-
-    def issubset(self, other: "VertexSet") -> bool:
-        self._require_same_universe(other)
-        return self.mask & ~other.mask == 0
 
 
 @dataclass(frozen=True)
@@ -176,6 +143,7 @@ class Graph:
             adj[v] |= 1 << u
         return cls(n, tuple(adj))
 
+    # kept for the tests, which read degrees through it; no package code calls it
     def degree(self, u: int) -> int:
         if not 0 <= u < self.n:
             raise ValueError(f"vertex {u} out of range")
@@ -207,14 +175,6 @@ class TwinPartition:
 
     def __len__(self) -> int:
         return len(self.classes)
-
-
-def neighborhood(g: Graph, u: int, closed: bool = False) -> VertexSet:
-    """Open neighborhood of ``u``, or the closed one (``u`` included)."""
-    if not 0 <= u < g.n:
-        raise ValueError(f"vertex {u} out of range for order {g.n}")
-    mask = g.adj[u] | (1 << u if closed else 0)
-    return VertexSet(g.n, mask)
 
 
 def _twin_classes(adj: Sequence[int]) -> list[int]:

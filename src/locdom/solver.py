@@ -100,20 +100,6 @@ def _is_ld_mask(adj: tuple[int, ...], candidate: int, full: int) -> bool:
     return True
 
 
-def trace(g: Graph, candidate: VertexSet, u: int) -> VertexSet:
-    """Trace of ``u``: its open neighborhood intersected with the candidate set.
-
-    Defined only for vertices outside the candidate set.
-    """
-    if candidate.universe != g.n:
-        raise ValueError("candidate set universe does not match the graph order")
-    if not 0 <= u < g.n:
-        raise ValueError(f"vertex {u} out of range for order {g.n}")
-    if candidate.mask >> u & 1:
-        raise ValueError(f"vertex {u} is inside the candidate set")
-    return VertexSet(g.n, g.adj[u] & candidate.mask)
-
-
 def is_locating_dominating(g: Graph, candidate: VertexSet) -> bool:
     """True when every outside vertex has a nonempty trace and all traces differ.
 
@@ -141,7 +127,10 @@ def info_lower_bound(order: int) -> int:
 
 
 def twin_lower_bound(partition: TwinPartition) -> int:
-    """Sum of (size - 1) over all twin classes of size at least 2."""
+    """Sum of (size - 1) over all twin classes of size at least 2.
+
+    Kept as the tests' independent check of ``lambda_exact``'s start bound.
+    """
     return sum(len(cls.vertices) - 1 for cls in partition.classes if len(cls.vertices) >= 2)
 
 

@@ -49,7 +49,8 @@ from .families import (
     signatures,
     star_graph,
 )
-from .functigraph import FunctionMap, Signature, _base_parts, _map_parts, build_functigraph
+from .functigraph import BIJECTIVE, CONSTANT, MID_WITH_MATCHING, FunctionMap, Signature
+from .functigraph import _base_parts, _map_class, _map_parts, build_functigraph
 from .graph import MAX_ORDER, Graph, is_connected, permute_graph
 from .solver import _fold_layer, _tables, lambda_exact
 
@@ -64,14 +65,15 @@ def _complete_regime(n: int, sig: Signature) -> tuple[str, int, str]:
         raise ValueError("complete-graph predictions need n >= 2")
     if sig.n != n:
         raise ValueError(f"signature {sig.parts} does not sum to {n}")
-    k = sig.num_parts
-    if k == 1:
+    kind = _map_class(sig)
+    if kind == CONSTANT:
         value = 2 if n == 2 else 2 * n - 3
         return "complete-constant", value, "constant maps: 2 at n=2, else 2n-3"
-    if k == n:
+    if kind == BIJECTIVE:
         value = n if n <= 3 else n - 1
         return "complete-bijective", value, "bijections: n at n<=3, else n-1"
-    case_id = "complete-mid-nomatch" if sig.num_unit_parts == 0 else "complete-mid-match"
+    case_id = "complete-mid-match" if kind == MID_WITH_MATCHING else "complete-mid-nomatch"
+    k = sig.num_parts
     if n == 3:
         # the only mid-range signature of 3 is (2, 1), which carries a matching
         return case_id, 2 * n - k - 1, "mid range at n=3: 2n-k-1"

@@ -196,7 +196,8 @@ def test_criterion_7_property_suite():
         base = VertexSet.of(g.n, [v for v in range(g.n) if rng.random() < 0.6])
         if not is_locating_dominating(g, base):
             continue
-        bigger = base | VertexSet.of(g.n, [v for v in range(g.n) if rng.random() < 0.5])
+        extra = VertexSet.of(g.n, [v for v in range(g.n) if rng.random() < 0.5]).mask
+        bigger = VertexSet(g.n, base.mask | extra)
         if not is_locating_dominating(g, bigger):
             failures.append(("superset closure", trial, g.edges(), base.members))
 

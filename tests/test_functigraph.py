@@ -3,15 +3,17 @@ import random
 import pytest
 
 from locdom.families import (
+    all_graphs,
     all_maps,
     complete_graph,
-    connected_graphs,
     constant_map,
     cycle_graph,
     identity_map,
     path_graph,
     random_connected_graph,
+    random_map_with_signature,
     signature_map,
+    signatures,
     star_graph,
 )
 from locdom.functigraph import (
@@ -25,9 +27,7 @@ from locdom.functigraph import (
     _map_parts,
     build_functigraph,
     classify,
-    functi_matchings,
     functigraph_from_json_dict,
-    functigraph_to_json_dict,
     preimage_signature,
 )
 from locdom.graph import (
@@ -35,11 +35,25 @@ from locdom.graph import (
     MAX_ORDER,
     Graph,
     bits,
+    graph_to_json_dict,
     is_connected,
     permute_graph,
     twin_partition,
 )
 from locdom.solver import _fold_layer, _tables, lambda_exact
+from locdom.theorems import complete_case_id
+
+
+def functi_matchings(g):
+    """Cross edges (u, w) of the functigraph ``g`` whose copy-two end w has
+    u as its only copy-one neighbour, read off the built graph alone."""
+    n = g.n // 2
+    low = (1 << n) - 1
+    return [
+        ((g.adj[w] & low).bit_length() - 1, w)
+        for w in range(n, g.n)
+        if (g.adj[w] & low).bit_count() == 1
+    ]
 
 
 class TestFunctionMap:
@@ -66,11 +80,9 @@ class TestFunctionMap:
         assert Graph(fg.graph.n, fg.graph.adj) == fg.graph
 
     def test_image(self):
+        # image {0, 2}: vertex 2 has preimage {0, 1, 3}, vertex 0 has {2}
         f = FunctionMap(4, (2, 2, 0, 2))
-        assert f.image == (0, 2)
-        assert f.image_size == 2
-        assert f.preimage(2) == (0, 1, 3)
-        assert f.preimage(1) == ()
+        assert preimage_signature(f).parts == (3, 1)
 
 
 class TestSignature:
@@ -115,8 +127,8 @@ class TestBuild:
 
     def test_cross_edges(self):
         fg = build_functigraph(path_graph(3), FunctionMap(3, (2, 2, 0)))
-        assert fg.cross_edges() == [(0, 5), (1, 5), (2, 3)]
-        assert fg.base_order == 3
+        cross = [(u, v) for u, v in fg.graph.edges() if u < 3 <= v]
+        assert cross == [(0, 5), (1, 5), (2, 3)]
 
     def test_order_mismatch(self):
         with pytest.raises(ValueError):
@@ -139,7 +151,7 @@ class TestBuild:
         cases = [
             (base, fmap)
             for n in range(1, 5)
-            for base in connected_graphs(n)
+            for base in filter(is_connected, all_graphs(n))
             for fmap in all_maps(n)
         ]
         rng = random.Random(11)
@@ -190,7 +202,7 @@ def _row_part_cases():
     rng = random.Random(17)
     cases = []
     for n in (3, 4, 5):
-        for base in connected_graphs(n):
+        for base in filter(is_connected, all_graphs(n)):
             maps = [constant_map(n, rng.randrange(n)), signature_map((1,) * n)]
             maps += [FunctionMap(n, tuple(rng.randrange(n) for _ in range(n)))]
             cases += [(base, fmap) for fmap in maps]
@@ -248,18 +260,24 @@ class TestSignatureOps:
         assert preimage_signature(fmap).parts == (4, 3, 2)
 
     def test_matchings_constant(self):
-        assert functi_matchings(constant_map(4, 1)) == []
+        fg = build_functigraph(complete_graph(4), constant_map(4, 1))
+        assert functi_matchings(fg.graph) == []
 
     def test_matchings_bijective(self):
-        edges = functi_matchings(identity_map(4))
-        assert edges == [(0, 4), (1, 5), (2, 6), (3, 7)]
+        fg = build_functigraph(complete_graph(4), identity_map(4))
+        assert functi_matchings(fg.graph) == [(0, 4), (1, 5), (2, 6), (3, 7)]
 
     def test_matchings_mixed(self):
         # n=9, image size 6, two non-unit parts: four matchings
-        fmap = signature_map((3, 2, 1, 1, 1, 1))
-        edges = functi_matchings(fmap)
-        assert len(edges) == 4
+        fg = build_functigraph(complete_graph(9), signature_map((3, 2, 1, 1, 1, 1)))
+        edges = functi_matchings(fg.graph)
         assert edges == [(5, 9 + 2), (6, 9 + 3), (7, 9 + 4), (8, 9 + 5)]
+
+    def test_matchings_are_the_unit_parts(self):
+        for n in range(1, 8):
+            for sig in signatures(n):
+                fg = build_functigraph(complete_graph(n), signature_map(sig.parts))
+                assert len(functi_matchings(fg.graph)) == sig.num_unit_parts, sig
 
 
 class TestClassify:
@@ -279,6 +297,26 @@ class TestClassify:
         c = classify(identity_map(5))
         assert (c.kind, c.image_size, c.matching_count) == (BIJECTIVE, 5, 5)
 
+    def test_signature_decides_class_and_case(self):
+        # a scrambled map has its canonical map's class, and the complete-graph
+        # predictions split the signatures into the same four classes
+        case_of = {
+            CONSTANT: "complete-constant",
+            BIJECTIVE: "complete-bijective",
+            MID_NO_MATCHING: "complete-mid-nomatch",
+            MID_WITH_MATCHING: "complete-mid-match",
+        }
+        rng = random.Random(29)
+        for n in range(2, 9):
+            for sig in signatures(n):
+                canonical = classify(signature_map(sig.parts))
+                assert classify(random_map_with_signature(rng, sig.parts)) == canonical
+                assert (canonical.image_size, canonical.matching_count) == (
+                    sig.num_parts,
+                    sig.num_unit_parts,
+                )
+                assert case_of[canonical.kind] == complete_case_id(n, sig), sig
+
 
 class TestTwinStructure:
     def test_preimage_blocks_are_twin_classes_for_complete_base(self):
@@ -296,8 +334,7 @@ class TestTwinStructure:
 
     def test_json_roundtrip(self):
         fg = build_functigraph(star_graph(4), constant_map(4, 0))
-        data = functigraph_to_json_dict(fg)
-        assert data["map"] == [0, 0, 0, 0]
+        data = {"base": graph_to_json_dict(fg.base), "map": list(fg.map.targets)}
         back = functigraph_from_json_dict(data)
         assert back.graph == fg.graph
         assert back.map == fg.map
