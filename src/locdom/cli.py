@@ -14,7 +14,8 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import IO
+from contextlib import contextmanager
+from typing import IO, Iterator
 
 from .families import FAMILY_KINDS, FamilySpec, make_family, parse_map
 from .functigraph import build_functigraph, functigraph_from_json_dict
@@ -117,15 +118,21 @@ def cmd_twins(args: argparse.Namespace) -> int:
 
 
 def cmd_gen(args: argparse.Namespace) -> int:
-    spec = FamilySpec(args.family, n=args.n, i=args.i, t=args.t)
-    g = make_family(spec)
-    text = json.dumps(graph_to_json_dict(g), separators=(",", ":"))
-    if args.output and args.output != "-":
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
-    else:
-        print(text)
+    g = make_family(FamilySpec(args.family, n=args.n, i=args.i, t=args.t))
+    with _output(args.output) as fh:
+        fh.write(json.dumps(graph_to_json_dict(g), separators=(",", ":")) + "\n")
     return 0
+
+
+@contextmanager
+def _output(path: str) -> Iterator[IO[str]]:
+    """The stream for an output FILE, or stdout for ``-``; a file gets no
+    newline translation, as the CSV writer needs."""
+    if path == "-":
+        yield sys.stdout
+    else:
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            yield fh
 
 
 def _print_summary(report: Report, stream: IO[str]) -> None:
@@ -155,19 +162,12 @@ def cmd_verify(args: argparse.Namespace) -> int:
     structured = args.csv is not None or args.json_out is not None
     _print_summary(report, sys.stderr if structured else sys.stdout)
     if args.csv is not None:
-        if args.csv == "-":
-            report.write_csv(sys.stdout)
-        else:
-            with open(args.csv, "w", encoding="utf-8", newline="") as fh:
-                report.write_csv(fh)
+        with _output(args.csv) as fh:
+            report.write_csv(fh)
     if args.json_out is not None:
-        # the report is a tree of fresh containers: the cycle check only costs time
-        text = json.dumps(report.to_json_dict(), check_circular=False)
-        if args.json_out == "-":
-            print(text)
-        else:
-            with open(args.json_out, "w", encoding="utf-8") as fh:
-                fh.write(text + "\n")
+        with _output(args.json_out) as fh:
+            # the report is a tree of fresh containers: the cycle check only costs time
+            fh.write(json.dumps(report.to_json_dict(), check_circular=False) + "\n")
     return 0 if report.all_match else 1
 
 
@@ -208,14 +208,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("--n", type=int, default=None)
     p_gen.add_argument("--i", type=int, default=None, help="removed matching size (h_graph)")
     p_gen.add_argument("--t", type=int, default=None, help="gap parameter (pendant_gap)")
-    p_gen.add_argument("-o", "--output", metavar="FILE", default=None)
+    p_gen.add_argument("-o", "--output", metavar="FILE", default="-")
     p_gen.set_defaults(func=cmd_gen)
 
     p_verify = sub.add_parser("verify", help="run the prediction sweeps")
-    p_verify.add_argument("--nmax-complete", type=int, default=7)
-    p_verify.add_argument("--nmax-hi", type=int, default=9)
-    p_verify.add_argument("--nmax-bounds", type=int, default=5)
-    p_verify.add_argument("--gap-tmax", type=int, default=4)
+    p_verify.add_argument("--nmax-complete", type=int, default=VerifyConfig.n_max_complete)
+    p_verify.add_argument("--nmax-hi", type=int, default=VerifyConfig.n_max_hi)
+    p_verify.add_argument("--nmax-bounds", type=int, default=VerifyConfig.n_max_bounds)
+    p_verify.add_argument("--gap-tmax", type=int, default=VerifyConfig.t_max)
     p_verify.add_argument("--no-gap", action="store_true", help="skip the gap construction")
     p_verify.add_argument("--csv", metavar="FILE", default=None,
                           help="write the report as CSV ('-' for stdout)")

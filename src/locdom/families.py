@@ -16,9 +16,6 @@ from typing import Iterator, Sequence
 from .functigraph import FunctionMap, Signature
 from .graph import Graph, bits, check_order, is_connected
 
-FAMILY_KINDS = ("complete", "star", "path", "cycle", "pendant_gap", "h_graph")
-
-
 @dataclass(frozen=True)
 class FamilySpec:
     kind: str
@@ -94,25 +91,26 @@ def pendant_gap_graph(t: int) -> Graph:
     return Graph.from_edges(t + 2, edges)
 
 
+# kind -> its generator and the FamilySpec fields it takes, in argument order
+_FAMILIES = (
+    ("complete", complete_graph, ("n",)),
+    ("star", star_graph, ("n",)),
+    ("path", path_graph, ("n",)),
+    ("cycle", cycle_graph, ("n",)),
+    ("pendant_gap", pendant_gap_graph, ("t",)),
+    ("h_graph", h_graph, ("n", "i")),
+)
+FAMILY_KINDS = tuple(kind for kind, _, _ in _FAMILIES)
+
+
 def make_family(spec: FamilySpec) -> Graph:
-    simple = {
-        "complete": complete_graph,
-        "star": star_graph,
-        "path": path_graph,
-        "cycle": cycle_graph,
-    }
-    if spec.kind in simple:
-        if spec.n is None:
-            raise ValueError(f"family {spec.kind!r} needs parameter n")
-        return simple[spec.kind](spec.n)
-    if spec.kind == "pendant_gap":
-        if spec.t is None:
-            raise ValueError("family 'pendant_gap' needs parameter t")
-        return pendant_gap_graph(spec.t)
-    if spec.kind == "h_graph":
-        if spec.n is None or spec.i is None:
-            raise ValueError("family 'h_graph' needs parameters n and i")
-        return h_graph(spec.n, spec.i)
+    for kind, generator, fields in _FAMILIES:
+        if kind == spec.kind:
+            args = [getattr(spec, name) for name in fields]
+            if None in args:
+                noun = "parameters" if len(fields) > 1 else "parameter"
+                raise ValueError(f"family {kind!r} needs {noun} {' and '.join(fields)}")
+            return generator(*args)
     raise ValueError(f"unknown family kind {spec.kind!r}")
 
 

@@ -12,7 +12,7 @@ from collections import Counter
 from dataclasses import dataclass
 from operator import or_
 
-from .graph import Graph, check_order, graph_from_json_dict, is_connected
+from .graph import Graph, graph_from_json_dict, is_connected
 from .solver import _constraint_rows
 
 CONSTANT = "constant"
@@ -95,24 +95,13 @@ def build_functigraph(base: Graph, fmap: FunctionMap) -> Functigraph:
     The result always has 2n vertices and 2|E| + n edges: cross edges run
     between the copies, so they can never coincide with a copy edge or with
     each other.
-
-    The result is not validated again: it is valid by construction. Each of
-    its rows is a row of the validated ``base`` or that row shifted by n,
-    plus cross edges, and each cross edge (u, n + f(u)) with 0 <= f(u) < n
-    is set in both of its rows. So every row is in range, has no self-loop
-    and is mirrored once ``base`` and ``fmap`` have passed their own checks.
-    Only the order 2n is checked here, since ``base`` may have up to
-    ``MAX_ORDER`` vertices.
     """
     if fmap.n != base.n:
         raise ValueError("map length does not match the base order")
     if not is_connected(base):
         raise ValueError("functigraph construction requires a connected base graph")
-    check_order(2 * base.n)
-    # built at its final size through a list: ``tuple(map(...))`` grows a
-    # smaller tuple, and the 2n-tuples it frees pile up in CPython's free list
-    rows = tuple([*map(or_, _copies(base), _cross_rows(fmap))])
-    return Functigraph(Graph._trusted(2 * base.n, rows), base, fmap)
+    rows = tuple(map(or_, _copies(base), _cross_rows(fmap)))
+    return Functigraph(Graph(2 * base.n, rows), base, fmap)
 
 
 def _copies(base: Graph) -> tuple[int, ...]:

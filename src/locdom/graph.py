@@ -111,34 +111,17 @@ class Graph:
                         raise ValueError(f"asymmetric adjacency between {u} and {v}")
 
     @classmethod
-    def _trusted(cls, n: int, adj: tuple[int, ...]) -> "Graph":
-        """Wrap rows without validating them.
-
-        The caller guarantees what ``__post_init__`` would check: ``adj`` is a
-        tuple of ``n`` rows, ``1 <= n <= MAX_ORDER``, every row lies in
-        ``[0, 2**n)``, no row has its own bit set, and ``v`` is in row ``u``
-        exactly when ``u`` is in row ``v``.
-        """
-        g = object.__new__(cls)
-        object.__setattr__(g, "n", n)
-        object.__setattr__(g, "adj", adj)
-        return g
-
-    @classmethod
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> "Graph":
         """Build a graph from an edge list; rejects self-loops and duplicates."""
         check_order(n)
         adj = [0] * n
-        seen: set[tuple[int, int]] = set()
         for u, v in edges:
             if not (0 <= u < n and 0 <= v < n):
                 raise ValueError(f"edge ({u}, {v}) out of range for order {n}")
             if u == v:
                 raise ValueError(f"self-loop at vertex {u}")
-            key = (u, v) if u < v else (v, u)
-            if key in seen:
-                raise ValueError(f"duplicate edge ({key[0]}, {key[1]})")
-            seen.add(key)
+            if adj[u] >> v & 1:
+                raise ValueError(f"duplicate edge ({min(u, v)}, {max(u, v)})")
             adj[u] |= 1 << v
             adj[v] |= 1 << u
         return cls(n, tuple(adj))

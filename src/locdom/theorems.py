@@ -386,26 +386,53 @@ def verify_suite(
 
 def _complete_rows(n_max: int) -> Iterator[CaseRow]:
     """Signature rows of the complete graphs on 2..n_max vertices, then the
-    ``complete-base`` rows from n = 4, then the rows derived from both."""
-    sigs = [(n, sig) for n in range(2, n_max + 1) for sig in signatures(n)]
-    rows = []
-    for n, sig in sigs:
-        case_id, value, anchor = _complete_regime(n, sig)
-        fg = build_functigraph(complete_graph(n), signature_map(sig.parts))
-        rows.append(_row(case_id, n, f"sig={_sig_str(sig)}", value, fg.graph, anchor))
-    rows += [
-        _row(
-            "complete-base",
-            n,
-            "family=complete",
-            n - 1,
-            complete_graph(n),
+    ``complete-base`` rows from n = 4, then the matching-count and
+    base-equality rows read off both."""
+    # (signature, row) of each map both derived checks cover: from n = 4, of
+    # image size below n, since bijections have their own prediction row
+    derivable = []
+    for n in range(2, n_max + 1):
+        for sig in signatures(n):
+            case_id, value, anchor = _complete_regime(n, sig)
+            fg = build_functigraph(complete_graph(n), signature_map(sig.parts))
+            row = _row(case_id, n, f"sig={_sig_str(sig)}", value, fg.graph, anchor)
+            if n >= 4 and sig.num_parts < n:
+                derivable.append((sig, row))
+            yield row
+    base_value = {}
+    for n in range(4, n_max + 1):
+        row = _row(
+            "complete-base", n, "family=complete", n - 1, complete_graph(n),
             "complete graphs need n-1",
         )
-        for n in range(4, n_max + 1)
-    ]
-    yield from rows
-    yield from _derived_rows(sigs, rows)
+        base_value[n] = row.computed
+        yield row
+    for sig, row in derivable:
+        k, p = sig.num_parts, sig.num_unit_parts
+        yield CaseRow(
+            "matching-lower-bound",
+            row.n,
+            row.params,
+            f">={p}",
+            row.computed,
+            row.computed >= p,
+            0.0,
+            row.witness,
+            anchor="value is at least the number of functi matchings",
+        )
+        base = base_value[row.n]
+        should_equal = k == row.n - 1
+        yield CaseRow(
+            "equality-at-k",
+            row.n,
+            f"{row.params} k={k}",
+            f"=={base}" if should_equal else f"!={base}",
+            row.computed,
+            (row.computed == base) == should_equal,
+            0.0,
+            row.witness,
+            anchor="base and functigraph values agree exactly at image size n-1",
+        )
 
 
 def _hi_rows(n_max: int) -> Iterator[CaseRow]:
@@ -622,46 +649,4 @@ def _gap_rows(t_max: int) -> Iterator[CaseRow]:
             2 * t,
             fg.graph,
             "functigraph value doubles to 2t",
-        )
-
-
-def _derived_rows(
-    sigs: list[tuple[int, Signature]], complete_rows: list[CaseRow]
-) -> Iterator[CaseRow]:
-    """Matching-count and base-equality rows for the signature rows of
-    ``complete_rows``, which pair up with ``sigs``; the base value is read off
-    the ``complete-base`` rows."""
-    base_lambda = {r.n: r.computed for r in complete_rows if r.case_id == "complete-base"}
-    for (n, sig), row in zip(sigs, complete_rows):
-        if n < 4:
-            continue
-        k = sig.num_parts
-        if k == n:
-            # both derived checks are scoped to maps with image size < n;
-            # bijections already have their own prediction row above
-            continue
-        p = sig.num_unit_parts
-        yield CaseRow(
-            "matching-lower-bound",
-            n,
-            f"sig={_sig_str(sig)}",
-            f">={p}",
-            row.computed,
-            row.computed >= p,
-            0.0,
-            row.witness,
-            anchor="value is at least the number of functi matchings",
-        )
-        base_value = base_lambda[n]
-        should_equal = k == n - 1
-        yield CaseRow(
-            "equality-at-k",
-            n,
-            f"sig={_sig_str(sig)} k={k}",
-            f"=={base_value}" if should_equal else f"!={base_value}",
-            row.computed,
-            (row.computed == base_value) == should_equal,
-            0.0,
-            row.witness,
-            anchor="base and functigraph values agree exactly at image size n-1",
         )

@@ -1,3 +1,4 @@
+import argparse
 import csv
 import io
 import json
@@ -11,8 +12,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import locdom
-from locdom.cli import main
-from locdom.families import complete_graph, path_graph, star_graph
+from locdom.cli import build_parser, main
+from locdom.families import (
+    FAMILY_KINDS,
+    FamilySpec,
+    complete_graph,
+    make_family,
+    path_graph,
+    star_graph,
+)
 from locdom.functigraph import functigraph_from_json_dict
 from locdom.graph import Graph, graph_from_edge_text, graph_from_json_dict, graph_to_json_dict
 
@@ -91,6 +99,20 @@ class TestGen:
         assert code == 0
         assert out == ""
         assert graph_from_json_dict(json.loads(target.read_text())) == star_graph(4)
+
+    def test_family_choices_are_the_family_kinds(self, capsys):
+        sub = next(
+            a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+        )
+        family = next(a for a in sub.choices["gen"]._actions if a.dest == "family")
+        assert tuple(family.choices) == FAMILY_KINDS
+        for kind in FAMILY_KINDS:
+            code, out, _ = run(
+                capsys, ["gen", "--family", kind, "--n", "6", "--i", "2", "--t", "3"]
+            )
+            assert code == 0
+            spec = FamilySpec(kind, n=6, i=2, t=3)
+            assert graph_from_json_dict(json.loads(out)) == make_family(spec)
 
     def test_family_parameter_errors(self, capsys):
         code, _, err = run(capsys, ["gen", "--family", "h_graph", "--n", "6"])
@@ -347,6 +369,20 @@ class TestVerify:
         assert code == 2
         assert out == ""
         assert "error:" in err
+
+    def test_default_flags_are_the_config_defaults(self, capsys, monkeypatch):
+        from locdom.theorems import Report, VerifyConfig
+
+        configs = []
+
+        def captured(config):
+            configs.append(config)
+            return Report()
+
+        monkeypatch.setattr("locdom.cli.verify_suite", captured)
+        code, _, _ = run(capsys, ["verify"])
+        assert code == 0
+        assert configs == [VerifyConfig()]
 
     def test_mismatch_exit_code(self, capsys, monkeypatch):
         from locdom.theorems import CaseRow, Report

@@ -134,11 +134,16 @@ class TestFamilies:
         assert make_family(FamilySpec("pendant_gap", t=3)) == pendant_gap_graph(3)
 
     def test_make_family_errors(self):
-        with pytest.raises(ValueError):
-            make_family(FamilySpec("complete"))
-        with pytest.raises(ValueError):
-            make_family(FamilySpec("h_graph", n=6))
-        with pytest.raises(ValueError):
+        # each missing parameter is named, in the words of the dispatch
+        for kind in ("complete", "star", "path", "cycle"):
+            with pytest.raises(ValueError, match=f"^family '{kind}' needs parameter n$"):
+                make_family(FamilySpec(kind, i=1, t=3))
+        with pytest.raises(ValueError, match="^family 'pendant_gap' needs parameter t$"):
+            make_family(FamilySpec("pendant_gap", n=5, i=1))
+        for spec in (FamilySpec("h_graph", n=6), FamilySpec("h_graph", i=2)):
+            with pytest.raises(ValueError, match="^family 'h_graph' needs parameters n and i$"):
+                make_family(spec)
+        with pytest.raises(ValueError, match="^unknown family kind 'moebius'$"):
             make_family(FamilySpec("moebius", n=6))
 
 

@@ -147,7 +147,7 @@ class TestBuild:
             )
 
     def test_unvalidated_build_equals_validated(self):
-        # the result skips validation; validating its rows must change nothing
+        # the result's rows, validated again, build an equal graph
         cases = [
             (base, fmap)
             for n in range(1, 5)
@@ -163,20 +163,19 @@ class TestBuild:
             g = build_functigraph(base, fmap).graph
             assert Graph(g.n, g.adj) == g
 
-    def test_build_validates_nothing(self, monkeypatch):
+    def test_build_validates_its_result_once(self, monkeypatch):
         base, fmap = star_graph(6), signature_map((3, 2, 1))
-        calls = []
+        validated = []
         validate = Graph.__post_init__
 
         def counted(self):
-            calls.append(self.n)
+            validated.append(self)
             validate(self)
 
         monkeypatch.setattr(Graph, "__post_init__", counted)
-        Graph(base.n, base.adj)
-        assert calls == [6]
         fg = build_functigraph(base, fmap)
-        assert calls == [6]
+        assert len(validated) == 1
+        assert validated[0] is fg.graph
         assert fg.graph.n == 12
 
     def test_counting_invariants_random(self):
