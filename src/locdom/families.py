@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from itertools import combinations, product
+from itertools import chain, combinations, product
 from typing import Iterator, Sequence
 
 from .functigraph import FunctionMap, Signature
@@ -36,23 +36,20 @@ def star_graph(n: int) -> Graph:
     """Star on n vertices with the center at index 0."""
     if n < 2:
         raise ValueError("star graph needs n >= 2")
-    check_order(n)
-    return Graph.from_edges(n, [(0, v) for v in range(1, n)])
+    return Graph.from_edges(n, ((0, v) for v in range(1, n)))
 
 
 def path_graph(n: int) -> Graph:
     if n < 1:
         raise ValueError("path graph needs n >= 1")
-    check_order(n)
-    return Graph.from_edges(n, [(v, v + 1) for v in range(n - 1)])
+    return Graph.from_edges(n, ((v, v + 1) for v in range(n - 1)))
 
 
 def cycle_graph(n: int) -> Graph:
     # C_1 and C_2 are not simple graphs, so the floor is 3
     if n < 3:
         raise ValueError("cycle graph needs n >= 3")
-    check_order(n)
-    return Graph.from_edges(n, [(v, (v + 1) % n) for v in range(n)])
+    return Graph.from_edges(n, ((v, (v + 1) % n) for v in range(n)))
 
 
 def h_graph(n: int, i: int) -> Graph:
@@ -86,8 +83,7 @@ def pendant_gap_graph(t: int) -> Graph:
     """
     if t < 2:
         raise ValueError("pendant gap graph needs t >= 2")
-    check_order(t + 2)
-    edges = [(0, 1), (1, 2)] + [(0, 3 + j) for j in range(t - 1)]
+    edges = chain(((0, 1), (1, 2)), ((0, v) for v in range(3, t + 2)))
     return Graph.from_edges(t + 2, edges)
 
 

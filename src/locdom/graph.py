@@ -112,7 +112,11 @@ class Graph:
 
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> "Graph":
-        """Build a graph from an edge list; rejects self-loops and duplicates."""
+        """Build a graph from an edge list; rejects self-loops and duplicates.
+
+        The order is checked before ``edges`` is read, so a generator of a
+        too-large graph's edges is refused before any edge is built.
+        """
         check_order(n)
         adj = [0] * n
         for u, v in edges:

@@ -14,15 +14,16 @@ size, then by value, so a node's unhit rows are one integer over row
 numbers and a pick removes the rows holding it with one AND. Each search
 node branches on its first unhit row and fails once a greedy packing of
 pairwise disjoint unhit rows needs more picks than are left; with one pick
-left, that pick must lie in every unhit row. A node that branches and finds
-nothing is remembered in a table of refuted subproblems, keyed by its unhit
-rows alone, so a later node with the same rows and no more picks left fails
-at once. The rows each packed part meets are memoized per part. Both tables
-live for one call, and ``REFUTED_BUDGET`` bounds the bytes of each. The
-search takes a greedy upper bound and walks down from it until a size fails
-or the start bound is reached. The same search then turns the hit into the
-lexicographically least one, deciding the vertices in index order (see
-``lambda_exact``).
+left, that pick must lie in every unhit row, and with two left and two
+parts packed, the last pick lies in the second part. A node that branches
+and finds nothing is remembered in a table of refuted subproblems, keyed by
+its unhit rows alone, so a later node with the same rows and no more picks
+left fails at once. The rows each packed part meets are memoized per part.
+Both tables live for one call, and ``REFUTED_BUDGET`` bounds the bytes of
+each. The search takes a greedy upper bound and walks down from it until a
+size fails or the start bound is reached. The same search then turns the
+hit into the lexicographically least one, deciding the vertices in index
+order (see ``lambda_exact``).
 
 The search starts from the larger of two sound lower bounds, reported as
 ``stats.pruned_cardinalities_skipped``:
@@ -222,6 +223,18 @@ def lambda_exact(
     returns the lowest allowed vertex of its first row that lies in every
     row, which is the first leaf that branching would find.
 
+    A node with two picks left makes no child calls. It tries each first
+    pick x of its first row inline, lowest first, and counts one node per
+    x, as the child call did. When the packing found two parts, every hit
+    takes one pick from each; x lies in the first, so the last pick comes
+    from the second, and x is dropped at once when a row the second part
+    does not meet misses x. The last pick is the lowest vertex of the
+    first row x leaves unhit that lies in every row x leaves unhit, taken
+    from the last part, or from ``allowed`` after a one-part packing. A
+    first pick that failed before x is never a last pick for x, since that
+    pair would have been found first. So a skipped x or last pick could not
+    hit, and the nodes and the answer are those of the plain branching.
+
     A greedy set (the vertex in the most unhit rows, the lowest on ties,
     until every row is hit) bounds the value from above. Each λ root then
     asks for one pick fewer than the best hit so far, until one fails or
@@ -339,6 +352,29 @@ def lambda_exact(
                     spanned = cost
                 spans[part] = span
             rest &= ~span
+        if left == 2:
+            # with two parts packed, every hit takes one pick from each, so the
+            # last pick lies in the last part and the first must hit the rows
+            # that part does not meet; one part packed leaves ``outside`` empty
+            last = part if packed == 2 else allowed
+            outside = unhit & ~span
+            while first:
+                bit = first & -first
+                first ^= bit
+                nodes += 1
+                cover = covers[bit.bit_length() - 1]
+                if outside & ~cover:
+                    continue
+                rest = unhit & ~cover
+                if not rest:
+                    return bit
+                second = rows[(rest & -rest).bit_length() - 1] & last
+                while second:
+                    low = second & -second
+                    if not rest & ~covers[low.bit_length() - 1]:
+                        return bit | low
+                    second ^= low
+            return None
         branch = first
         while branch:
             bit = branch & -branch
@@ -347,13 +383,13 @@ def lambda_exact(
             if found is not None:
                 return found | bit
             allowed &= ~bit
-        if left > 2:
-            cost = 88 + unhit.bit_length() // 8
-            stored += cost
-            if stored > REFUTED_BUDGET:
-                refuted.clear()
-                stored = cost
-            refuted[unhit] = left
+        # only nodes with more than two picks left branch here
+        cost = 88 + unhit.bit_length() // 8
+        stored += cost
+        if stored > REFUTED_BUDGET:
+            refuted.clear()
+            stored = cost
+        refuted[unhit] = left
         return None
 
     # greedy upper bound: the vertex in the most unhit rows, the lowest on

@@ -121,9 +121,11 @@ class TestGen:
         code, _, _ = run(capsys, ["gen", "--family", "pendant_gap", "--t", "1"])
         assert code == 2
         # refused before any edge list is built, so no time or memory is spent
-        code, _, err = run(capsys, ["gen", "--family", "path", "--n", "1000000000"])
-        assert code == 2
-        assert "order must be in" in err
+        for family, size in (("path", "--n"), ("star", "--n"), ("cycle", "--n"),
+                             ("pendant_gap", "--t")):
+            code, _, err = run(capsys, ["gen", "--family", family, size, "1000000000"])
+            assert code == 2
+            assert "order must be in" in err
 
 
 class TestLambda:

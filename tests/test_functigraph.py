@@ -146,8 +146,9 @@ class TestBuild:
                 path_graph(MAX_ORDER // 2 + 1), identity_map(MAX_ORDER // 2 + 1)
             )
 
-    def test_unvalidated_build_equals_validated(self):
-        # the result's rows, validated again, build an equal graph
+    def test_rebuilt_rows_give_an_equal_graph(self):
+        # the rows of every built functigraph, passed to the constructor again,
+        # give an equal graph
         cases = [
             (base, fmap)
             for n in range(1, 5)

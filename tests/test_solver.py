@@ -429,6 +429,22 @@ class TestLambdaExact:
             count for _, count in cases
         ]
 
+    def test_random_node_counts_are_pinned(self):
+        # (value, witness, nodes) of 240 seeded random graphs under both twin
+        # pruning values. They reach two-pick nodes that pack one part and
+        # two, and first picks whose last pick the second part cannot give;
+        # a new digest means the search changed, not just its cost
+        rng = random.Random(5)
+        key = []
+        for i in range(240):
+            g = random_graph(rng, rng.randint(8, 22), (0.1, 0.15, 0.2, 0.3, 0.5)[i % 5])
+            for pruning in (True, False):
+                res = lambda_exact(g, use_twin_pruning=pruning)
+                key.append((res.lambda_, res.witness.members, res.stats.sets_tested))
+        assert hashlib.sha256(repr(key).encode()).hexdigest() == (
+            "f8caa92adde282d6fcdbe4998d1ed2a4cfe58114a5d81fe50d0b6d55a67718c3"
+        )
+
     def test_search_answers_are_pinned(self):
         # (value, witness, start bound) of graphs past the oracle's reach in
         # tier-1 time, computed before the search core held its rows as
