@@ -25,16 +25,26 @@ size fails or the start bound is reached. The same search then turns the
 hit into the lexicographically least one, deciding the vertices in index
 order (see ``lambda_exact``).
 
-The search starts from the larger of two sound lower bounds, reported as
-``stats.pruned_cardinalities_skipped``:
+The search starts from the largest of three sound lower bounds, computed
+once per solve and reported as ``stats.pruned_cardinalities_skipped``:
 
 * counting: the outside vertices need pairwise distinct nonempty subsets of
   L, so ``order - size <= 2**size - 1`` must hold for any hit;
-* twins: u < v are twins when ``N(u) = N(v)`` or ``N[u] = N[v]``, which is
-  when their pair row is just ``{u, v}``. Swapping twins is an
-  automorphism, so the lexicographically least solution of each size
-  contains every such u; that forced twin core, all but the highest member
-  of each class of ``graph._twin_classes``, may seed the search.
+* degree: the outside traces are distinct and nonempty, and at most
+  ``size`` of them are singletons, so L has at least
+  ``2 (order - size) - size`` edges to the outside and at most
+  ``size * Δ``, Δ the maximum degree: ``size >= 2 order / (Δ + 3)``
+  (Slater, 1988). It is the value on paths and cycles;
+* twin core plus blocks: u < v are twins when ``N(u) = N(v)`` or
+  ``N[u] = N[v]``, which is when their pair row is just ``{u, v}``.
+  Swapping twins is an automorphism, so the lexicographically least
+  solution of each size contains every such u; that forced twin core, all
+  but the highest member of each class of ``graph._twin_classes``, may seed
+  the search. Disjoint two-vertex blocks ``B_1..B_k`` outside the core,
+  each union ``B_i | B_j`` a row, add k - 1 (``_block_bound``): a set
+  missing two blocks misses the row in their union. Twins are the
+  one-vertex case of a block, and the K_n identity functigraph's n blocks
+  ``{v, n + v}`` give its value n - 1.
 
 The bounds sweep in ``theorems`` solves thousands of functigraphs of order
 at most 12 that it holds as constraint rows alone, XORed from base and map
@@ -53,6 +63,7 @@ real search.
 from __future__ import annotations
 
 import time
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import reduce
 from itertools import combinations
@@ -130,9 +141,39 @@ def info_lower_bound(order: int) -> int:
 def twin_lower_bound(partition: TwinPartition) -> int:
     """Sum of (size - 1) over all twin classes of size at least 2.
 
-    Kept as the tests' independent check of ``lambda_exact``'s start bound.
+    This is the size of the twin core that ``lambda_exact`` reads off its own
+    rows; the tests check its start bound against it from below.
     """
     return sum(len(cls.vertices) - 1 for cls in partition.classes if len(cls.vertices) >= 2)
+
+
+def _block_bound(quads: list[int], rows: set[int]) -> int:
+    """k - 1 for disjoint two-vertex blocks B_1..B_k, read off ``quads``, with
+    every union ``B_i | B_j`` in ``rows``; 0 when the first of ``quads``
+    shares exactly two vertices with no other.
+
+    A set hitting ``rows`` misses at most one block, since missing two
+    misses their union, so it holds a vertex of k - 1 disjoint blocks. B_1
+    is the pair the first row of ``quads`` shares with the first row that
+    shares one, and each row holding B_1 offers the rest of itself as a
+    block, kept when it is disjoint from every kept block and their union
+    is in ``rows``.
+    """
+    first = quads[0] if quads else 0
+    for other in quads:
+        pair = first & other
+        if pair.bit_count() == 2:
+            blocks = [pair]
+            for row in quads:
+                if row & pair == pair:
+                    block = row ^ pair
+                    for kept in blocks:
+                        if block & kept or block | kept not in rows:
+                            break
+                    else:
+                        blocks.append(block)
+            return len(blocks) - 1
+    return 0
 
 
 def _tables(n: int) -> tuple[list[int], list[int], int]:
@@ -238,7 +279,11 @@ def lambda_exact(
     A greedy set (the vertex in the most unhit rows, the lowest on ties,
     until every row is hit) bounds the value from above. Each λ root then
     asks for one pick fewer than the best hit so far, until one fails or
-    the next size would fall below the start bound.
+    the next size would fall below the start bound. The start bound (see
+    the module docstring) is computed once, before any root. Where it is
+    the value, as on paths, cycles, K_n identity functigraphs and every K_n
+    functigraph up to n = 8 whose map has other than two images, no root
+    fails.
 
     Equal-size sets are ordered by the smallest element of their symmetric
     difference, so the witness is walked down with the same core. Vertices
@@ -269,7 +314,9 @@ def lambda_exact(
     memo never moves a clearing of the table.
 
     ``use_twin_pruning`` fixes the forced twin core before any root, and the
-    rows it hits are never built. ``stats.sets_tested`` counts ``hit``
+    rows it hits are never built. The start bound counts the core and reads
+    blocks off the rows the core misses either way, so it does not depend on
+    ``use_twin_pruning``. ``stats.sets_tested`` counts ``hit``
     nodes over all roots, including those the refuted-subproblem table
     answers. It is 0 when the greedy set already has the start size and
     holds the lowest vertices outside the fixed core, as when the core hits
@@ -283,7 +330,6 @@ def lambda_exact(
     full = (1 << n) - 1
     # every member of a twin class but its highest
     core = sum(mask ^ 1 << mask.bit_length() - 1 for mask in _twin_classes(adj))
-    start = max(info_lower_bound(n), core.bit_count())
     fixed = core if use_twin_pruning else 0
     # rows the fixed vertices already hit are left out
     unfixed = [(adj[v], 1 << v) for v in range(n) if not fixed >> v & 1]
@@ -296,8 +342,18 @@ def lambda_exact(
                 row = bu | bv | au ^ av
                 if not row & fixed:
                     add(row)
+    row_set = rows
     rows = sorted(rows)
     rows.sort(key=int.bit_count)
+    quads = rows[bisect_left(rows, 4, key=int.bit_count):bisect_left(rows, 5, key=int.bit_count)]
+    start = max(
+        info_lower_bound(n),
+        # a set of size s has at most s * Δ edges to the outside, and at least
+        # 2 (n - s) - s, since at most s outside traces are singletons
+        -(-2 * n // (max(map(int.bit_count, adj)) + 3)),
+        # blocks the core does not meet; their unions are rows it does not hit
+        core.bit_count() + _block_bound([row for row in quads if not row & core], row_set),
+    )
     # covers[v] marks the rows holding v, as bits over row indices. With a
     # bit above vertex n - 1, every row's bin() string has width n + 3, so
     # joined last row first, every (n + 3)-th character from 2 + n - v reads

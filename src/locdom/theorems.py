@@ -391,10 +391,11 @@ def _complete_rows(n_max: int) -> Iterator[CaseRow]:
     # (signature, row) of each map both derived checks cover: from n = 4, of
     # image size below n, since bijections have their own prediction row
     derivable = []
-    for n in range(2, n_max + 1):
+    bases = {n: complete_graph(n) for n in range(2, n_max + 1)}
+    for n, base in bases.items():
         for sig in signatures(n):
             case_id, value, anchor = _complete_regime(n, sig)
-            fg = build_functigraph(complete_graph(n), signature_map(sig.parts))
+            fg = build_functigraph(base, signature_map(sig.parts))
             row = _row(case_id, n, f"sig={_sig_str(sig)}", value, fg.graph, anchor)
             if n >= 4 and sig.num_parts < n:
                 derivable.append((sig, row))
@@ -402,7 +403,7 @@ def _complete_rows(n_max: int) -> Iterator[CaseRow]:
     base_value = {}
     for n in range(4, n_max + 1):
         row = _row(
-            "complete-base", n, "family=complete", n - 1, complete_graph(n),
+            "complete-base", n, "family=complete", n - 1, bases[n],
             "complete graphs need n-1",
         )
         base_value[n] = row.computed
@@ -438,9 +439,10 @@ def _complete_rows(n_max: int) -> Iterator[CaseRow]:
 def _hi_rows(n_max: int) -> Iterator[CaseRow]:
     for n in range(4, n_max + 1):
         for i in range(1, n // 2 + 1):
+            base = h_graph(n, i)
             for target in (0, 2 * i) if 2 * i < n else (0,):
                 kind = hi_target_kind(n, i, target)
-                fg = build_functigraph(h_graph(n, i), constant_map(n, target))
+                fg = build_functigraph(base, constant_map(n, target))
                 case_id, value = _hi_regime(n, i, kind)
                 yield _row(case_id, n, f"i={i} target={target} kind={kind}", value, fg.graph)
 

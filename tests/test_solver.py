@@ -15,11 +15,14 @@ from locdom.families import (
     path_graph,
     random_connected_graph,
     random_graph,
+    signature_map,
+    signatures,
     star_graph,
 )
-from locdom.functigraph import Signature, build_functigraph
+from locdom.functigraph import FunctionMap, Signature, build_functigraph
 from locdom.graph import Graph, VertexSet, bits, permute_graph, twin_partition
 from locdom.solver import (
+    _block_bound,
     _constraint_rows,
     _fold_layer,
     _tables,
@@ -52,6 +55,31 @@ def naive_lambda(g):
             if naive_is_ld(g, members):
                 return size, members
     raise AssertionError("unreachable")
+
+
+def start_bound(g):
+    """``lambda_exact``'s start bound from the definitions: the counting
+    bound, the degree bound ``ceil(2n / (Δ + 3))``, and the twin core taken
+    pairwise plus ``_block_bound`` over the rows of four the core misses."""
+    adj = g.adj
+    core = {
+        u
+        for u, v in combinations(range(g.n), 2)
+        if adj[u] == adj[v] or adj[u] | 1 << u == adj[v] | 1 << v
+    }
+    mask = sum(1 << u for u in core)
+    # a pair row without a common neighbor is implied, so the search leaves it out
+    rows = {adj[v] | 1 << v for v in range(g.n)}
+    rows |= {
+        1 << u | 1 << v | adj[u] ^ adj[v]
+        for u, v in combinations(range(g.n), 2)
+        if adj[u] & adj[v]
+    }
+    quads = sorted(row for row in rows if row.bit_count() == 4 and not row & mask)
+    degree = max(a.bit_count() for a in adj)
+    return max(
+        info_lower_bound(g.n), -(-2 * g.n // (degree + 3)), len(core) + _block_bound(quads, rows)
+    )
 
 
 def with_isolated_and_pendants(rng, g):
@@ -315,8 +343,8 @@ class TestLambdaExact:
             floor = max(
                 info_lower_bound(g.n), twin_lower_bound(twin_partition(g))
             )
-            assert res.lambda_ >= floor
-            assert res.stats.pruned_cardinalities_skipped == floor
+            start = res.stats.pruned_cardinalities_skipped
+            assert floor <= start == start_bound(g) <= lambda_oracle(g).lambda_ == res.lambda_
         # the start bound against the twin core taken straight from the
         # pairwise definition: every u with a v > u of N(u) = N(v) or N[u] = N[v]
         graphs = [g for n in range(1, 6) for g in all_graphs(n)]
@@ -330,13 +358,12 @@ class TestLambdaExact:
                 for u, v in combinations(range(g.n), 2)
                 if g.adj[u] == g.adj[v] or g.adj[u] | 1 << u == g.adj[v] | 1 << v
             }
-            res = lambda_exact(g)
-            assert res.stats.pruned_cardinalities_skipped == max(
-                info_lower_bound(g.n), len(twin_core)
-            )
+            start = lambda_exact(g).stats.pruned_cardinalities_skipped
+            assert max(info_lower_bound(g.n), len(twin_core)) <= start == start_bound(g)
+            assert start <= lambda_oracle(g).lambda_
 
     def test_lex_extraction_matches_oracle(self):
-        # the refuted-subproblem table fires from K8 identity, C15 and P10 on
+        # the refuted-subproblem table answers lookups on C13 to C18, P10 and P15
         graphs = [build_functigraph(complete_graph(n), identity_map(n)).graph for n in range(3, 10)]
         graphs += [cycle_graph(n) for n in range(5, 19)]
         graphs += [path_graph(10), path_graph(15)]
@@ -389,17 +416,22 @@ class TestLambdaExact:
 
     def test_cleared_refuted_table_keeps_answers(self, monkeypatch):
         # 300 bytes hold about three refuted entries, so that table is cleared
-        # many times per solve; at 2,000 it is cleared on K9 identity and C18
-        # and answers enough lookups between clearings that a lookup skipping
-        # one pick too early changes a witness here. The part memo shares the
-        # budget at 116 bytes or more an entry, so it is cleared on most new
-        # parts at 300 and 1 to 85 times a solve at 2,000. The node counts
-        # are those of the same search without the memo: clearing the memo
-        # must not move a refuted-table clearing or change any node
+        # up to 20 times per solve; at 2,000 it is cleared twice on the P9
+        # and C9 identity functigraphs, and a lookup skipping one pick too
+        # early changes a witness of C18. The part memo shares the budget at
+        # 116 bytes or more an entry, so it is cleared on most new parts at
+        # 300 and up to 12 times a solve at 2,000. The node counts are those
+        # of the same search without the memo: clearing the memo must not
+        # move a refuted-table clearing or change any node
         graphs = [build_functigraph(complete_graph(n), identity_map(n)).graph for n in (8, 9)]
         graphs += [cycle_graph(n) for n in range(15, 19)]
+        graphs += [build_functigraph(g, identity_map(9)).graph
+                   for g in (path_graph(9), cycle_graph(9))]
         references = [lambda_oracle(g) for g in graphs]
-        nodes = {300: [181, 364, 44, 163, 120, 358], 2_000: [127, 205, 44, 112, 84, 244]}
+        nodes = {
+            300: [13, 15, 34, 78, 95, 153, 354, 313],
+            2_000: [13, 15, 34, 48, 59, 63, 354, 313],
+        }
         for budget, counts in nodes.items():
             monkeypatch.setattr(solver, "REFUTED_BUDGET", budget)
             for g, reference, count in zip(graphs, references, counts):
@@ -416,14 +448,14 @@ class TestLambdaExact:
             return build_functigraph(g, identity_map(g.n)).graph
 
         cases = [
-            (cycle_graph(22), 164),
-            (path_graph(22), 169),
-            (identity_functigraph(complete_graph(11)), 280),
+            (cycle_graph(22), 97),
+            (path_graph(22), 146),
+            (identity_functigraph(complete_graph(11)), 19),
             (random_connected_graph(random.Random(0), 24, 0.15), 958),
-            (identity_functigraph(complete_graph(10)), 223),
+            (identity_functigraph(complete_graph(10)), 17),
             (identity_functigraph(path_graph(20)), 18_676),
             (random_connected_graph(random.Random(0), 40), 17_753),
-            (identity_functigraph(complete_graph(32)), 2_863),
+            (identity_functigraph(complete_graph(32)), 61),
         ]
         assert [lambda_exact(g).stats.sets_tested for g, _ in cases] == [
             count for _, count in cases
@@ -446,17 +478,21 @@ class TestLambdaExact:
         )
 
     def test_search_answers_are_pinned(self):
-        # (value, witness, start bound) of graphs past the oracle's reach in
-        # tier-1 time, computed before the search core held its rows as
-        # bitsets; a new digest means an answer changed
-        key = [
-            (res.lambda_, res.witness.members, res.stats.pruned_cardinalities_skipped)
-            for res in map(lambda_exact, pinned_graphs())
-        ]
+        # (value, witness) of graphs past the oracle's reach in tier-1 time,
+        # the same as before the start bound took the degree and block
+        # bounds; a new digest means an answer changed
+        results = list(map(lambda_exact, pinned_graphs()))
+        key = [(res.lambda_, res.witness.members) for res in results]
         assert len(key) == 40
         assert hashlib.sha256(repr(key).encode()).hexdigest() == (
-            "2e0062e56d11183a8138c2677974d00a95c2c4fd783d1ba3bec0198656e08f26"
+            "c537d8bf00afa904bd3cc2c5ed5be0074bfa49afe984b65ca2e4048d314a4fd2"
         )
+        # the start bounds, equal to the value on the cycles, paths and K_n
+        # identity functigraphs
+        assert [res.stats.pruned_cardinalities_skipped for res in results] == [
+            6, 7, 9, 12, 14, 16, 6, 8, 11, 14, 16, 6, 8, 11, 14, 17, 19, 5, 6, 8,
+            9, 10, 5, 5, 5, 6, 6, 5, 4, 4, 5, 5, 5, 5, 5, 5, 6, 5, 5, 5,
+        ]
 
     @settings(max_examples=40, deadline=None)
     @given(mid_graphs())
@@ -496,15 +532,89 @@ class TestLambdaExact:
             assert res.stats.elapsed >= 0.0
 
 
+class TestStartBound:
+    """The start bound, ``stats.pruned_cardinalities_skipped``: the largest of
+    the counting bound, the degree bound and the twin core plus the block
+    bound. It must never pass the value, since no size below it is tried."""
+
+    @staticmethod
+    def graphs():
+        """Every labeled graph on at most five vertices, then seeded random
+        graphs and random functigraphs of order at most 12."""
+        rng = random.Random(71)
+        graphs = [g for n in range(1, 6) for g in all_graphs(n)]
+        graphs += [random_graph(rng, rng.randint(6, 12), rng.random()) for _ in range(300)]
+        for _ in range(300):
+            n = rng.randint(2, 6)
+            fmap = FunctionMap(n, tuple(rng.randrange(n) for _ in range(n)))
+            graphs.append(build_functigraph(random_connected_graph(rng, n), fmap).graph)
+        return graphs
+
+    def test_start_never_passes_the_oracle_value(self):
+        for g in self.graphs():
+            start = lambda_exact(g).stats.pruned_cardinalities_skipped
+            assert start <= lambda_oracle(g).lambda_
+
+    def test_start_is_the_same_under_both_pruning_values(self):
+        for g in self.graphs():
+            assert len({
+                lambda_exact(g, use_twin_pruning=pruning).stats.pruned_cardinalities_skipped
+                for pruning in (True, False)
+            }) == 1
+
+    def test_start_is_the_value_on_the_paper_families(self):
+        # Slater's value ceil(2n / 5) of paths and cycles is the degree bound
+        for n in range(5, 41):
+            for g in (path_graph(n), cycle_graph(n)):
+                res = lambda_exact(g)
+                assert res.stats.pruned_cardinalities_skipped == res.lambda_ == -(-2 * n // 5)
+        # the K_n identity functigraph has the n blocks {v, n + v}
+        for n in range(4, 33):
+            res = lambda_exact(build_functigraph(complete_graph(n), identity_map(n)).graph)
+            assert res.stats.pruned_cardinalities_skipped == res.lambda_ == n - 1
+        # from n = 4 on, a map of K_n onto two images is the one signature
+        # whose start falls short of the value, by one
+        for n in range(2, 9):
+            for sig in signatures(n):
+                g = build_functigraph(complete_graph(n), signature_map(sig.parts)).graph
+                res = lambda_exact(g)
+                assert res.lambda_ == predicted_lambda_complete(n, sig)
+                short = sig.num_parts == 2 and n >= 4
+                assert res.stats.pruned_cardinalities_skipped == res.lambda_ - short
+
+    def test_blocks_must_be_disjoint_with_rows_for_unions(self):
+        def row(*vertices):
+            return sum(1 << v for v in vertices)
+
+        # the blocks {0, 1}, {2, 3} and {4, 5}, every union a row
+        quads = [row(0, 1, 2, 3), row(0, 1, 4, 5), row(2, 3, 4, 5)]
+        assert _block_bound(quads, set(quads)) == 2
+        # {2, 3} | {4, 5} is not a row, so only one of them counts
+        assert _block_bound(quads[:2], set(quads[:2])) == 1
+        # no two rows share exactly two vertices
+        quads = [row(0, 1, 2, 3), row(0, 1, 2, 4)]
+        assert _block_bound(quads, set(quads)) == 0
+        assert _block_bound([], set()) == 0
+        # B_1 = {0, 1} from the first and last rows; the candidates {3, 4}
+        # and {3, 5} meet the kept {2, 3} though each union is a row, and
+        # {6, 7} | {2, 3} is not a row, so one block joins B_1. Counting the
+        # overlapping blocks would claim 3 picks where {0, 3} hits every row
+        quads = [row(0, 1, 2, 3), row(0, 1, 3, 4), row(0, 1, 3, 5), row(0, 1, 6, 7)]
+        rows = {*quads, row(2, 3, 4), row(2, 3, 5), row(3, 4, 5)}
+        assert _block_bound(quads, rows) == 1
+        assert all(r & row(0, 3) for r in rows)
+
+
 def layer_answer(g, tables):
-    """(value, witness, start bound) read from ``_fold_layer`` through the
-    tables of g's order and the independent twin partition: the layer's
-    highest position is the lex-least minimum set."""
+    """(value, witness, floor) read from ``_fold_layer`` through the tables of
+    g's order and the independent twin partition: the layer's highest
+    position is the lex-least minimum set, and the floor is the larger of
+    the counting and twin bounds, which the start bound must not fall below."""
     value, layer = _fold_layer(tables, _constraint_rows(g.adj))
     top = layer.bit_length() - 1
     witness = VertexSet.of(g.n, [v for v in range(g.n) if top >> (g.n - 1 - v) & 1])
-    start = max(info_lower_bound(g.n), twin_lower_bound(twin_partition(g)))
-    return value, witness, start
+    floor = max(info_lower_bound(g.n), twin_lower_bound(twin_partition(g)))
+    return value, witness, floor
 
 
 class TestTablePass:
@@ -520,7 +630,8 @@ class TestTablePass:
                 res = lambda_exact(g)
                 assert (res.lambda_, res.witness) == (reference.lambda_, reference.witness)
                 floor = max(info_lower_bound(n), twin_lower_bound(twin_partition(g)))
-                assert res.stats.pruned_cardinalities_skipped == floor
+                start = res.stats.pruned_cardinalities_skipped
+                assert floor <= start == start_bound(g) <= reference.lambda_
         assert count == 1099
 
     def test_gate_boundary(self):
@@ -555,10 +666,14 @@ class TestTablePass:
                 g = with_isolated_and_pendants(rng, core)
             else:
                 g = random_graph(rng, rng.randint(1, 12), rng.uniform(0.0, 1.0))
-            table = layer_answer(g, tables[g.n])
+            value, witness, floor = layer_answer(g, tables[g.n])
+            start = start_bound(g)
+            assert floor <= start <= lambda_oracle(g).lambda_
             for pruning in (True, False):
                 res = lambda_exact(g, use_twin_pruning=pruning)
-                assert (res.lambda_, res.witness, res.stats.pruned_cardinalities_skipped) == table
+                assert (res.lambda_, res.witness, res.stats.pruned_cardinalities_skipped) == (
+                    value, witness, start
+                )
 
     def test_tables_match_brute_force(self):
         def sets_of(n):
