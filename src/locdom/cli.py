@@ -86,8 +86,7 @@ def _emit_solve(result: SolveResult, as_json: bool) -> None:
 
 def cmd_lambda(args: argparse.Namespace) -> int:
     g = _load_input(_read_text(args.graph), args.map, args.functigraph)
-    result = lambda_exact(g, use_twin_pruning=not args.no_prune)
-    _emit_solve(result, args.json)
+    _emit_solve(lambda_exact(g), args.json)
     return 0
 
 
@@ -191,8 +190,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_lambda = sub.add_parser("lambda", help="exact value via the hitting-set search")
     _add_input_options(p_lambda)
-    p_lambda.add_argument("--no-prune", action="store_true",
-                          help="start the search without the forced twin core")
     p_lambda.set_defaults(func=cmd_lambda)
 
     p_oracle = sub.add_parser("oracle", help="exact value via plain enumeration (order <= 24)")

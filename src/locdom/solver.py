@@ -39,10 +39,11 @@ once per solve and reported as ``stats.pruned_cardinalities_skipped``:
   ``N[u] = N[v]``, which is when their pair row is just ``{u, v}``.
   Swapping twins is an automorphism, so the lexicographically least
   solution of each size contains every such u; that forced twin core, all
-  but the highest member of each class of ``graph._twin_classes``, may seed
-  the search. Disjoint two-vertex blocks ``B_1..B_k`` outside the core,
-  each union ``B_i | B_j`` a row, add k - 1 (``_block_bound``): a set
-  missing two blocks misses the row in their union. Twins are the
+  but the highest member of each class of ``graph._twin_classes``, is
+  fixed before the search starts. Disjoint two-vertex blocks
+  ``B_1..B_k`` outside the core, each union ``B_i | B_j`` a row, add
+  k - 1 (``_block_bound``): a set missing two blocks misses the row in
+  their union. Twins are the
   one-vertex case of a block, and the K_n identity functigraph's n blocks
   ``{v, n + v}`` give its value n - 1.
 
@@ -240,11 +241,7 @@ def _fold_layer(tables: tuple, rows: Iterable[int]) -> tuple[int, int]:
     return size, found
 
 
-def lambda_exact(
-    g: Graph,
-    use_twin_pruning: bool = True,
-    deterministic_witness: bool = False,
-) -> SolveResult:
+def lambda_exact(g: Graph, *, deterministic_witness: bool = False) -> SolveResult:
     """Exact location-domination number with the lexicographically least witness,
     by branch and bound over the hitting-set model.
 
@@ -313,24 +310,22 @@ def lambda_exact(
     Each is cleared only when its own entries would pass the budget, so the
     memo never moves a clearing of the table.
 
-    ``use_twin_pruning`` fixes the forced twin core before any root, and the
-    rows it hits are never built. The start bound counts the core and reads
-    blocks off the rows the core misses either way, so it does not depend on
-    ``use_twin_pruning``. ``stats.sets_tested`` counts ``hit``
-    nodes over all roots, including those the refuted-subproblem table
-    answers. It is 0 when the greedy set already has the start size and
-    holds the lowest vertices outside the fixed core, as when the core hits
-    every row. ``deterministic_witness`` changes nothing, since every witness
-    is already the lexicographically least; it is kept because perfbench's
+    The forced twin core is fixed before any root, and the rows it hits are
+    never built, so the start bound reads its blocks off rows the core
+    misses. ``stats.sets_tested`` counts ``hit`` nodes over all roots,
+    including those the refuted-subproblem table answers. It is 0 when the
+    greedy set already has the start size and holds the lowest vertices
+    outside the fixed core, as when the core hits every row.
+    ``deterministic_witness`` changes nothing, since every witness is
+    already the lexicographically least; it is kept because perfbench's
     ``solve-ladder`` workload passes it.
     """
     started = time.perf_counter()
     n = g.n
     adj = g.adj
     full = (1 << n) - 1
-    # every member of a twin class but its highest
-    core = sum(mask ^ 1 << mask.bit_length() - 1 for mask in _twin_classes(adj))
-    fixed = core if use_twin_pruning else 0
+    # the forced twin core: every member of a twin class but its highest
+    fixed = sum(mask ^ 1 << mask.bit_length() - 1 for mask in _twin_classes(adj))
     # rows the fixed vertices already hit are left out
     unfixed = [(adj[v], 1 << v) for v in range(n) if not fixed >> v & 1]
     rows = {a | bit for a, bit in unfixed if not a & fixed}
@@ -351,8 +346,8 @@ def lambda_exact(
         # a set of size s has at most s * Δ edges to the outside, and at least
         # 2 (n - s) - s, since at most s outside traces are singletons
         -(-2 * n // (max(map(int.bit_count, adj)) + 3)),
-        # blocks the core does not meet; their unions are rows it does not hit
-        core.bit_count() + _block_bound([row for row in quads if not row & core], row_set),
+        # the core, plus blocks among the rows it does not hit
+        fixed.bit_count() + _block_bound(quads, row_set),
     )
     # covers[v] marks the rows holding v, as bits over row indices. With a
     # bit above vertex n - 1, every row's bin() string has width n + 3, so

@@ -161,10 +161,9 @@ def test_criterion_6_oracle_equivalence():
 
     def check(label, g):
         reference = lambda_oracle(g)
-        for pruning in (True, False):
-            res = lambda_exact(g, use_twin_pruning=pruning)
-            if (res.lambda_, res.witness) != (reference.lambda_, reference.witness):
-                failures.append((label, pruning, g.n, g.edges()))
+        res = lambda_exact(g)
+        if (res.lambda_, res.witness) != (reference.lambda_, reference.witness):
+            failures.append((label, g.n, g.edges()))
 
     for n in range(1, 6):
         for g in all_graphs(n):
@@ -180,9 +179,8 @@ def test_criterion_6_oracle_equivalence():
         g = random_connected_graph(rng, rng.randint(7, 10), rng.uniform(0.25, 0.75))
         check("random", g)
     verdict(
-        "ACCEPTANCE 6 (search equals oracle in value and witness, with and without "
-        "twin pruning: all labeled n<=5, class representatives at n=6, 500 random "
-        "n in [7,10])",
+        "ACCEPTANCE 6 (search equals oracle in value and witness: all labeled n<=5, "
+        "class representatives at n=6, 500 random n in [7,10])",
         failures,
     )
 

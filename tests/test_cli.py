@@ -187,14 +187,6 @@ class TestLambda:
         assert code == 0
         assert json.loads(out)["lambda"] == 2
 
-    def test_no_prune_agrees(self, capsys, tmp_path):
-        path = write(tmp_path, "k4.json", json.dumps(graph_to_json_dict(complete_graph(4))))
-        _, out_default, _ = run(capsys, ["lambda", "--graph", path, "--json"])
-        _, out_noprune, _ = run(
-            capsys, ["lambda", "--graph", path, "--no-prune", "--json"]
-        )
-        assert json.loads(out_default)["lambda"] == json.loads(out_noprune)["lambda"]
-
     def test_functigraph_flag_needs_map_input(self, capsys, tmp_path):
         path = write(tmp_path, "p3.json", json.dumps(graph_to_json_dict(path_graph(3))))
         code, _, err = run(capsys, ["lambda", "--graph", path, "--functigraph"])
@@ -258,12 +250,14 @@ class TestLambda:
         assert info.value.code == 2
 
     def test_removed_deterministic_witness_flag_exits_two(self, capsys, tmp_path):
-        # every witness is the lexicographically least, so the flag is gone
+        # every witness is the lexicographically least and the twin core is
+        # always fixed, so neither flag would select anything and both are gone
         path = write(tmp_path, "k4.json", json.dumps(graph_to_json_dict(complete_graph(4))))
-        with pytest.raises(SystemExit) as info:
-            main(["lambda", "--graph", path, "--deterministic-witness"])
-        assert info.value.code == 2
-        assert "--deterministic-witness" in capsys.readouterr().err
+        for flag in ("--deterministic-witness", "--no-prune"):
+            with pytest.raises(SystemExit) as info:
+                main(["lambda", "--graph", path, flag])
+            assert info.value.code == 2
+            assert flag in capsys.readouterr().err
 
 
 def twins_on_stdin(text):

@@ -302,16 +302,14 @@ class TestLambdaExact:
             graphs.append(with_isolated_and_pendants(rng, core))
         for g in graphs:
             expected = naive_lambda(g)
-            for pruning in (True, False):
-                res = lambda_exact(g, use_twin_pruning=pruning)
-                assert (res.lambda_, res.witness.members) == expected
+            res = lambda_exact(g)
+            assert (res.lambda_, res.witness.members) == expected
 
     def test_oracle_equivalence_exhaustive_n4(self):
         for g in all_connected(4):
             reference = lambda_oracle(g)
-            for pruning in (True, False):
-                res = lambda_exact(g, use_twin_pruning=pruning)
-                assert (res.lambda_, res.witness) == (reference.lambda_, reference.witness)
+            res = lambda_exact(g)
+            assert (res.lambda_, res.witness) == (reference.lambda_, reference.witness)
 
     def test_deterministic_witness_is_lex_least(self):
         rng = random.Random(37)
@@ -330,6 +328,12 @@ class TestLambdaExact:
             assert lambda_exact(g).witness == lambda_exact(
                 g, deterministic_witness=True
             ).witness
+
+    def test_positional_flag_is_rejected(self):
+        # ``deterministic_witness`` is keyword-only, so a positional flag
+        # raises instead of binding to it silently
+        with pytest.raises(TypeError):
+            lambda_exact(path_graph(3), False)
 
     def test_lower_bound_consistency(self):
         rng = random.Random(43)
@@ -373,24 +377,28 @@ class TestLambdaExact:
         graphs += [family(n) for family in (complete_graph, star_graph) for n in range(13, 17)]
         for g in graphs:
             reference = lambda_oracle(g)
-            for pruning in (True, False):
-                res = lambda_exact(g, use_twin_pruning=pruning)
-                assert (res.lambda_, res.witness) == (reference.lambda_, reference.witness)
+            res = lambda_exact(g)
+            assert (res.lambda_, res.witness) == (reference.lambda_, reference.witness)
 
     def test_solved_subproblems_are_not_refuted(self):
-        # without the twin core, a table that also stored solved subproblems
-        # refutes a solvable one here and misses the lex-least witness
+        # a table that also stored solved subproblems refutes a solvable one
+        # on each of these and misses the lex-least witness
         graphs = [
-            Graph.from_edges(14, [(0, 6), (1, 2), (3, 4), (5, 6), (6, 13), (7, 11),
-                                  (9, 10), (11, 13)]),
-            Graph.from_edges(14, [(0, 4), (0, 11), (1, 12), (3, 8), (4, 12), (5, 7),
-                                  (5, 13), (10, 12)]),
+            Graph.from_edges(14, [(0, 1), (0, 2), (0, 6), (0, 8), (0, 10), (2, 3), (2, 4),
+                                  (2, 9), (2, 12), (4, 10), (5, 12), (5, 13), (7, 10),
+                                  (8, 9), (9, 10), (9, 11), (11, 12)]),
+            Graph.from_edges(11, [(0, 9), (0, 10), (1, 8), (2, 7), (2, 9), (3, 4), (3, 8),
+                                  (4, 6), (4, 7), (4, 9), (5, 7), (5, 8), (5, 9), (7, 10)]),
+            Graph.from_edges(11, [(0, 5), (0, 7), (0, 8), (0, 10), (1, 2), (1, 5), (1, 6),
+                                  (1, 7), (1, 8), (1, 10), (2, 8), (2, 9), (2, 10), (3, 8),
+                                  (4, 9), (6, 7), (7, 9), (7, 10)]),
+            Graph.from_edges(12, [(0, 5), (0, 8), (0, 10), (1, 10), (1, 11), (2, 4), (2, 6),
+                                  (3, 5), (4, 5), (5, 10), (8, 9), (8, 11)]),
         ]
         for g in graphs:
             reference = lambda_oracle(g)
-            for pruning in (True, False):
-                res = lambda_exact(g, use_twin_pruning=pruning)
-                assert (res.lambda_, res.witness) == (reference.lambda_, reference.witness)
+            res = lambda_exact(g)
+            assert (res.lambda_, res.witness) == (reference.lambda_, reference.witness)
 
     def test_larger_values(self):
         assert lambda_exact(cycle_graph(30)).lambda_ == 12
@@ -435,10 +443,9 @@ class TestLambdaExact:
         for budget, counts in nodes.items():
             monkeypatch.setattr(solver, "REFUTED_BUDGET", budget)
             for g, reference, count in zip(graphs, references, counts):
-                for pruning in (True, False):
-                    res = lambda_exact(g, use_twin_pruning=pruning)
-                    assert (res.lambda_, res.witness) == (reference.lambda_, reference.witness)
-                    assert res.stats.sets_tested == count
+                res = lambda_exact(g)
+                assert (res.lambda_, res.witness) == (reference.lambda_, reference.witness)
+                assert res.stats.sets_tested == count
 
     def test_node_counts_are_pinned(self):
         # search nodes of the benchmark's solve ladder and of three harder
@@ -462,19 +469,18 @@ class TestLambdaExact:
         ]
 
     def test_random_node_counts_are_pinned(self):
-        # (value, witness, nodes) of 240 seeded random graphs under both twin
-        # pruning values. They reach two-pick nodes that pack one part and
-        # two, and first picks whose last pick the second part cannot give;
-        # a new digest means the search changed, not just its cost
+        # (value, witness, nodes) of 240 seeded random graphs. They reach
+        # two-pick nodes that pack one part and two, and first picks whose
+        # last pick the second part cannot give; a new digest means the
+        # search changed, not just its cost
         rng = random.Random(5)
         key = []
         for i in range(240):
             g = random_graph(rng, rng.randint(8, 22), (0.1, 0.15, 0.2, 0.3, 0.5)[i % 5])
-            for pruning in (True, False):
-                res = lambda_exact(g, use_twin_pruning=pruning)
-                key.append((res.lambda_, res.witness.members, res.stats.sets_tested))
+            res = lambda_exact(g)
+            key.append((res.lambda_, res.witness.members, res.stats.sets_tested))
         assert hashlib.sha256(repr(key).encode()).hexdigest() == (
-            "f8caa92adde282d6fcdbe4998d1ed2a4cfe58114a5d81fe50d0b6d55a67718c3"
+            "0537950d4645fb90417fd3aeb67cb929697c2de2c9c09188d90ef2375bad514c"
         )
 
     def test_search_answers_are_pinned(self):
@@ -498,18 +504,16 @@ class TestLambdaExact:
     @given(mid_graphs())
     def test_search_against_oracle_past_the_table_gate(self, g):
         reference = lambda_oracle(g)
-        for pruning in (True, False):
-            res = lambda_exact(g, use_twin_pruning=pruning)
-            assert (res.lambda_, res.witness) == (reference.lambda_, reference.witness)
+        res = lambda_exact(g)
+        assert (res.lambda_, res.witness) == (reference.lambda_, reference.witness)
 
     @settings(max_examples=150, deadline=None)
     @given(st.data())
     def test_differential_against_oracle(self, data):
         g = data.draw(small_graphs())
         reference = lambda_oracle(g)
-        for pruning in (True, False):
-            res = lambda_exact(g, use_twin_pruning=pruning)
-            assert (res.lambda_, res.witness) == (reference.lambda_, reference.witness)
+        res = lambda_exact(g)
+        assert (res.lambda_, res.witness) == (reference.lambda_, reference.witness)
         assert naive_is_ld(g, res.witness.members)
         perm = data.draw(st.permutations(range(g.n)))
         assert lambda_exact(permute_graph(g, perm)).lambda_ == reference.lambda_
@@ -525,11 +529,10 @@ class TestLambdaExact:
     def test_stats_counts(self):
         # the greedy set {0, 1, 2} of K4 has the start size and is lex-least,
         # so the search visits no node
-        for pruning in (True, False):
-            res = lambda_exact(complete_graph(4), use_twin_pruning=pruning)
-            assert res.stats.sets_tested == 0
-            assert res.stats.pruned_cardinalities_skipped == 3
-            assert res.stats.elapsed >= 0.0
+        res = lambda_exact(complete_graph(4))
+        assert res.stats.sets_tested == 0
+        assert res.stats.pruned_cardinalities_skipped == 3
+        assert res.stats.elapsed >= 0.0
 
 
 class TestStartBound:
@@ -554,13 +557,6 @@ class TestStartBound:
         for g in self.graphs():
             start = lambda_exact(g).stats.pruned_cardinalities_skipped
             assert start <= lambda_oracle(g).lambda_
-
-    def test_start_is_the_same_under_both_pruning_values(self):
-        for g in self.graphs():
-            assert len({
-                lambda_exact(g, use_twin_pruning=pruning).stats.pruned_cardinalities_skipped
-                for pruning in (True, False)
-            }) == 1
 
     def test_start_is_the_value_on_the_paper_families(self):
         # Slater's value ceil(2n / 5) of paths and cycles is the degree bound
@@ -669,11 +665,10 @@ class TestTablePass:
             value, witness, floor = layer_answer(g, tables[g.n])
             start = start_bound(g)
             assert floor <= start <= lambda_oracle(g).lambda_
-            for pruning in (True, False):
-                res = lambda_exact(g, use_twin_pruning=pruning)
-                assert (res.lambda_, res.witness, res.stats.pruned_cardinalities_skipped) == (
-                    value, witness, start
-                )
+            res = lambda_exact(g)
+            assert (res.lambda_, res.witness, res.stats.pruned_cardinalities_skipped) == (
+                value, witness, start
+            )
 
     def test_tables_match_brute_force(self):
         def sets_of(n):

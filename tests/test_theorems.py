@@ -8,7 +8,6 @@ import random
 import subprocess
 import sys
 import textwrap
-from itertools import permutations
 from pathlib import Path
 
 import pytest
@@ -26,7 +25,7 @@ from locdom.families import (
     signatures,
 )
 from locdom.functigraph import FunctionMap, Signature, build_functigraph
-from locdom.graph import Graph, permute_graph
+from locdom.graph import Graph
 from locdom.solver import info_lower_bound, lambda_exact
 from locdom.theorems import (
     SATURATED,
@@ -42,11 +41,7 @@ from locdom.theorems import (
     predicted_lambda_hi,
     verify_suite,
 )
-
-
-def iso_key(g: Graph) -> tuple[int, ...]:
-    """Brute-force isomorphism key: the least adjacency over every relabeling."""
-    return min(permute_graph(g, p).adj for p in permutations(range(g.n)))
+from test_families import iso_key
 
 
 class TestPredictedComplete:
