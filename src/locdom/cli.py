@@ -84,15 +84,9 @@ def _emit_solve(result: SolveResult, as_json: bool) -> None:
     )
 
 
-def cmd_lambda(args: argparse.Namespace) -> int:
+def cmd_solve(args: argparse.Namespace) -> int:
     g = _load_input(_read_text(args.graph), args.map, args.functigraph)
-    _emit_solve(lambda_exact(g), args.json)
-    return 0
-
-
-def cmd_oracle(args: argparse.Namespace) -> int:
-    g = _load_input(_read_text(args.graph), args.map, args.functigraph)
-    _emit_solve(lambda_oracle(g), args.json)
+    _emit_solve(args.solver(g), args.json)
     return 0
 
 
@@ -190,11 +184,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_lambda = sub.add_parser("lambda", help="exact value via the hitting-set search")
     _add_input_options(p_lambda)
-    p_lambda.set_defaults(func=cmd_lambda)
+    p_lambda.set_defaults(func=cmd_solve, solver=lambda_exact)
 
     p_oracle = sub.add_parser("oracle", help="exact value via plain enumeration (order <= 24)")
     _add_input_options(p_oracle)
-    p_oracle.set_defaults(func=cmd_oracle)
+    p_oracle.set_defaults(func=cmd_solve, solver=lambda_oracle)
 
     p_twins = sub.add_parser("twins", help="print the twin partition")
     _add_input_options(p_twins)

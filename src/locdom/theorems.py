@@ -29,7 +29,7 @@ import random
 from collections import namedtuple
 from dataclasses import dataclass, field
 from functools import partial
-from itertools import chain, repeat
+from itertools import chain, permutations, repeat
 from operator import xor
 from time import perf_counter_ns
 from typing import IO, Iterator
@@ -42,13 +42,15 @@ from .families import (
     constant_map,
     h_graph,
     identity_map,
+    make_family,
     nonisomorphic_connected_graphs,
-    path_graph,
+    parse_map,
     pendant_gap_graph,
     signature_map,
     signatures,
-    star_graph,
 )
+# not called here; perfbench's traced mode wraps these bindings by name
+from .families import path_graph, star_graph  # noqa: F401
 from .functigraph import BIJECTIVE, CONSTANT, MID_WITH_MATCHING, FunctionMap, Signature
 from .functigraph import _base_parts, _map_class, _map_parts, build_functigraph
 from .graph import MAX_ORDER, Graph, is_connected, permute_graph
@@ -448,8 +450,12 @@ def _hi_rows(n_max: int) -> Iterator[CaseRow]:
 
 
 def _bounds_rows(n_max: int, rng: random.Random) -> Iterator[CaseRow]:
-    """The bounds section's rows for each n: the sharp instances, then the
+    """The bounds section's rows for each n: the sharp rows, then the
     ``bounds-range`` rows, from ``_relabeled_rows`` on at most 4 vertices.
+
+    The sharp rows solve the instances ``predicted_bounds_functigraph(n)``
+    names as attaining each end, built from their family and map specs; an
+    end's row comes only when its named base has n vertices.
 
     On larger n each class representative is solved under each sampled map
     with no functigraph built: its constraint rows are the XOR of the base
@@ -466,25 +472,16 @@ def _bounds_rows(n_max: int, rng: random.Random) -> Iterator[CaseRow]:
     """
     for n in range(3, n_max + 1):
         bounds = predicted_bounds_functigraph(n)
-        if n == 3:
-            fg = build_functigraph(path_graph(3), identity_map(3))
-            yield _row(
-                "bounds-sharp-low",
-                n,
-                "base=path3 map=identity",
-                bounds.lower,
-                fg.graph,
-                "identity on the 3-path attains the floor",
-            )
-        fg = build_functigraph(star_graph(n), constant_map(n, 0))
-        yield _row(
-            "bounds-sharp-high",
-            n,
-            f"base=star{n} map=constant:0",
-            bounds.upper,
-            fg.graph,
-            "stars with a constant map onto the center attain 2n-2",
-        )
+        for case_id, value, (spec, map_spec), anchor in (
+            ("bounds-sharp-low", bounds.lower, bounds.lower_witness,
+             "identity on the 3-path attains the floor"),
+            ("bounds-sharp-high", bounds.upper, bounds.upper_witness,
+             "stars with a constant map onto the center attain 2n-2"),
+        ):
+            if spec.n == n:
+                fg = build_functigraph(make_family(spec), parse_map(map_spec, n))
+                params = f"base={spec.kind}{n} map={map_spec}"
+                yield _row(case_id, n, params, value, fg.graph, anchor)
         # n-bit half of a position -> the members it stands for, in either copy
         ones = [tuple(v for v in range(n) if x >> n - 1 - v & 1) for x in range(1 << n)]
         twos = [tuple(n + v for v in members) for members in ones]
@@ -521,25 +518,27 @@ def _relabeled_rows(
     under every map, in ``all_graphs`` then ``all_maps`` order.
 
     The first base G of each isomorphism class comes before the others. Its
-    images under the n! permutations are the class's labeled bases B. Those
-    onto G are its automorphisms; those onto B are p_B sigma, for p_B the
-    first of them and each automorphism sigma. Moving copy one of F(G, h0)
-    by alpha and copy two by beta, two of those onto B, gives
-    F(B, beta h0 alpha^-1). So G alone is solved, under the first map h0 of
-    each orbit of f -> tau f sigma^-1, in ``all_maps`` order: G's base parts
-    XOR h0's map parts are the constraint rows ``solver._fold_layer`` folds.
+    images under the n! permutations, in ``itertools.permutations`` order,
+    are the class's labeled bases B. Those onto G are its automorphisms;
+    those onto B are p_B sigma, for p_B the first of them and each
+    automorphism sigma. Moving copy one of F(G, h0) by alpha and copy two by
+    beta, two of those onto B, gives F(B, beta h0 alpha^-1). So G alone is
+    solved, under the first map h0 of each orbit of f -> tau f sigma^-1, in
+    ``all_maps`` order: G's base parts XOR h0's map parts are the constraint
+    rows ``solver._fold_layer`` folds.
 
     Each fold walks the automorphism pairs (sigma, tau) once on G, keeping
     each pair whose row tau h0 sigma^-1 is new there. The pair lifts to
     (p_B sigma, p_B tau) on each B, onto that row conjugated by p_B, so each
     row of each B is written once. A lifted pair is an isomorphism of the
-    two functigraphs, so it carries h0's minimum sets onto the row's own.
-    The witness is the lex-least of them, the highest image position: alpha
-    moves each n-bit upper half, chosen once per (B, sigma), and beta each
-    lower half. Each B's values, matches and witnesses wait in columns in
-    ``pending`` until its turn builds its rows. A row's ``millis`` is its
-    share of its class's wall time (isomorphisms, folds and lifts), split
-    evenly over its rows (labeled bases times n**n), whole ns over 1e6.
+    two functigraphs, so it carries h0's minimum sets onto the row's own,
+    whichever p_B was taken. The witness is the lex-least of them, the
+    highest image position: alpha moves each n-bit upper half, chosen once
+    per (B, sigma), and beta each lower half. Each B's values, matches and
+    witnesses wait in columns in ``pending`` until its turn builds its rows.
+    A row's ``millis`` is its share of its class's wall time (isomorphisms,
+    folds and lifts), split evenly over its rows (labeled bases times n**n),
+    whole ns over 1e6.
     """
     maps = list(all_maps(n))
     map_strs = [_map_str(fmap) for fmap in maps]
@@ -548,24 +547,16 @@ def _relabeled_rows(
     witness_of = [ones[p >> n] + twos[p & low] for p in range(1 << 2 * n)]
     # permutation p -> its half table (entry x is half x with each vertex v
     # moved to p[v]), and for every map h in all_maps order the index of p h
-    # and the index of h p^-1. The swap of 0 and 1 and the cycle v -> v + 1
-    # generate every p; theirs are built one digit at a time, and a walk from
-    # the identity reads each g p's off g's at p's entries
-    gens = []
-    for g in (tuple(range(n)), (1, 0, *range(2, n)), (*range(1, n), 0)):
+    # and the index of h p^-1, each built one vertex v = 0, 1, ... at a time
+    records = {}
+    for p in permutations(range(n)):
         table, after, before = [0], [0], [0]
-        for v in range(n):
-            bit, step = 1 << n - 1 - g[v], n ** (n - 1 - g[v])
+        for image in p:
+            bit, step = 1 << n - 1 - image, n ** (n - 1 - image)
             table = [x | b for x in table for b in (0, bit)]
-            after = [at * n + g[t] for at in after for t in range(n)]
-            before = [at + t * step for at in before for t in range(n)]
-        gens.append((g, (table, after, before)))
-    moves = dict(gens[:1])
-    for p in (walk := [*moves]):
-        for g, records in gens[1:]:
-            if (q := tuple(map(g.__getitem__, p))) not in moves:
-                moves[q] = [list(map(r.__getitem__, at)) for r, at in zip(records, moves[p])]
-                walk.append(q)
+            after = [at * n + t for at in after for t in p]
+            before = [at + t for at in before for t in range(0, n * step, step)]
+        records[p] = table, after, before
     pending = {}  # labeled base -> its lift with its columns, and millis
     for base in all_graphs(n):
         if not is_connected(base):
@@ -574,7 +565,7 @@ def _relabeled_rows(
             started = perf_counter_ns()
             onto = {}  # labeled base B -> p_B
             auts = []
-            for p in moves:
+            for p in records:
                 adj = permute_graph(base, p).adj
                 onto.setdefault(adj, p)
                 if adj == base.adj:
@@ -584,7 +575,7 @@ def _relabeled_rows(
             # which is written once
             lifts = [
                 (
-                    [moves[tuple(map(p.__getitem__, s))] for s in auts],
+                    [records[tuple(map(p.__getitem__, s))] for s in auts],
                     *([0] * n**n for _ in range(3)),
                 )
                 for p in onto.values()

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from locdom import solver, theorems
 from locdom.families import (
+    all_graphs,
     complete_graph,
     constant_map,
     cycle_graph,
@@ -20,7 +21,7 @@ from locdom.families import (
     star_graph,
 )
 from locdom.functigraph import FunctionMap, Signature, build_functigraph
-from locdom.graph import Graph, VertexSet, bits, permute_graph, twin_partition
+from locdom.graph import Graph, VertexSet, bits, is_connected, permute_graph, twin_partition
 from locdom.solver import (
     _block_bound,
     _constraint_rows,
@@ -149,22 +150,6 @@ def pinned_graphs():
     graphs += [random_graph(rng, rng.randint(13, 40), rng.uniform(0.08, 0.6)) for _ in range(10)]
     graphs += [random_connected_graph(rng, rng.randint(13, 40)) for _ in range(8)]
     return graphs
-
-
-def all_graphs(n):
-    pairs = list(combinations(range(n), 2))
-    for mask in range(1 << len(pairs)):
-        yield Graph.from_edges(n, [pairs[j] for j in bits(mask)])
-
-
-def all_connected(n):
-    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
-    from locdom.graph import is_connected
-
-    for mask in range(1 << len(pairs)):
-        g = Graph.from_edges(n, [pairs[j] for j in bits(mask)])
-        if is_connected(g):
-            yield g
 
 
 class TestTrace:
@@ -306,7 +291,7 @@ class TestLambdaExact:
             assert (res.lambda_, res.witness.members) == expected
 
     def test_oracle_equivalence_exhaustive_n4(self):
-        for g in all_connected(4):
+        for g in filter(is_connected, all_graphs(4)):
             reference = lambda_oracle(g)
             res = lambda_exact(g)
             assert (res.lambda_, res.witness) == (reference.lambda_, reference.witness)
@@ -502,7 +487,7 @@ class TestLambdaExact:
 
     @settings(max_examples=40, deadline=None)
     @given(mid_graphs())
-    def test_search_against_oracle_past_the_table_gate(self, g):
+    def test_search_against_oracle_on_graphs_of_11_to_14(self, g):
         reference = lambda_oracle(g)
         res = lambda_exact(g)
         assert (res.lambda_, res.witness) == (reference.lambda_, reference.witness)
@@ -613,9 +598,10 @@ def layer_answer(g, tables):
     return value, witness, floor
 
 
-class TestTablePass:
-    """``lambda_exact`` against the subset-table fold on the small graphs the
-    fold decides at once, and the tables themselves."""
+class TestSubsetTableFold:
+    """``lambda_exact`` against the oracle and the subset-table fold
+    ``_fold_layer`` on graphs of up to 13 vertices, and the tables
+    themselves."""
 
     def test_matches_oracle_on_every_labeled_graph_up_to_five(self):
         count = 0
@@ -630,8 +616,8 @@ class TestTablePass:
                 assert floor <= start == start_bound(g) <= reference.lambda_
         assert count == 1099
 
-    def test_gate_boundary(self):
-        # orders 12 and 13: the largest order the bounds sweep folds, and one past it
+    def test_matches_oracle_at_orders_12_and_13(self):
+        # order 12, the largest the bounds sweep folds, and order 13 past it
         rng = random.Random(53)
         graphs = [
             build_functigraph(complete_graph(6), identity_map(6)).graph,

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import hashlib
 import io
 import json
@@ -14,6 +15,7 @@ import pytest
 
 from locdom import theorems
 from locdom.families import (
+    FamilySpec,
     complete_graph,
     constant_map,
     h_graph,
@@ -187,6 +189,32 @@ class TestPredictedBounds:
             base = make_family(spec)
             fg = build_functigraph(base, parse_map(map_spec, base.n))
             assert lambda_exact(fg.graph).lambda_ == end
+
+    def test_sharp_rows_solve_the_named_witnesses(self, monkeypatch):
+        # verify builds its sharp rows from the instances the prediction
+        # names, so naming K_n under a constant map moves every top row there
+        predict = theorems.predicted_bounds_functigraph
+
+        def complete_upper(n):
+            complete = (FamilySpec("complete", n=n), "constant:0")
+            return dataclasses.replace(predict(n), upper_witness=complete)
+
+        monkeypatch.setattr(theorems, "predicted_bounds_functigraph", complete_upper)
+        config = VerifyConfig(
+            n_max_complete=1, n_max_hi=3, n_max_bounds=5, include_gap_lemma=False
+        )
+        rows = [r for r in verify_suite(config).rows if r.case_id == "bounds-sharp-high"]
+        assert [r.n for r in rows] == [3, 4, 5]
+        for row in rows:
+            n = row.n
+            result = lambda_exact(build_functigraph(complete_graph(n), constant_map(n, 0)).graph)
+            assert (row.params, row.computed, row.witness) == (
+                f"base=complete{n} map=constant:0",
+                result.lambda_,
+                result.witness.members,
+            )
+            # K_n under a constant map has 2n - 3, one short of the top
+            assert (row.predicted, row.match) == (str(2 * n - 2), False)
 
 
 class TestClosedFormsAtScale:
