@@ -26,7 +26,7 @@ from .graph import (
     graph_to_json_dict,
     twin_partition,
 )
-from .solver import SolveResult, lambda_exact, lambda_oracle
+from .solver import ORACLE_MAX_ORDER, SolveResult, lambda_exact, lambda_oracle
 from .theorems import Report, VerifyConfig, verify_suite
 
 
@@ -186,7 +186,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_input_options(p_lambda)
     p_lambda.set_defaults(func=cmd_solve, solver=lambda_exact)
 
-    p_oracle = sub.add_parser("oracle", help="exact value via plain enumeration (order <= 24)")
+    p_oracle = sub.add_parser(
+        "oracle", help=f"exact value via plain enumeration (order <= {ORACLE_MAX_ORDER})"
+    )
     _add_input_options(p_oracle)
     p_oracle.set_defaults(func=cmd_solve, solver=lambda_oracle)
 

@@ -16,6 +16,8 @@ from typing import Iterator, Sequence
 from .functigraph import FunctionMap, Signature
 from .graph import Graph, bits, check_order, is_connected
 
+LABELED_MAX_ORDER = 6
+
 @dataclass(frozen=True)
 class FamilySpec:
     kind: str
@@ -201,14 +203,14 @@ def all_maps(n: int) -> Iterator[FunctionMap]:
 
 
 def _labeled_pairs(n: int) -> list[tuple[int, int]]:
-    """Vertex pairs of an n-vertex graph, n <= 6; bit j of an edge mask is pair j."""
-    if not 1 <= n <= 6:
-        raise ValueError("labeled enumeration is limited to 1 <= n <= 6")
+    """Vertex pairs of an n-vertex graph; bit j of an edge mask is pair j."""
+    if not 1 <= n <= LABELED_MAX_ORDER:
+        raise ValueError(f"labeled enumeration is limited to 1 <= n <= {LABELED_MAX_ORDER}")
     return list(combinations(range(n), 2))
 
 
 def all_graphs(n: int) -> Iterator[Graph]:
-    """Every labeled simple graph on n vertices (2^C(n,2) of them); n <= 6."""
+    """Every labeled simple graph on n vertices (2^C(n,2) of them); n <= LABELED_MAX_ORDER."""
     pairs = _labeled_pairs(n)
     for mask in range(1 << len(pairs)):
         yield Graph.from_edges(n, [pairs[j] for j in bits(mask)])

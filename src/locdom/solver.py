@@ -19,11 +19,12 @@ parts packed, the last pick lies in the second part. A node that branches
 and finds nothing is remembered in a table of refuted subproblems, keyed by
 its unhit rows alone, so a later node with the same rows and no more picks
 left fails at once. The rows each packed part meets are memoized per part.
-Both tables live for one call, and ``REFUTED_BUDGET`` bounds the bytes of
-each. The search takes a greedy upper bound and walks down from it until a
-size fails or the start bound is reached. The same search then turns the
-hit into the lexicographically least one, deciding the vertices in index
-order (see ``lambda_exact``).
+Both tables live for one call, and each holds at most as many entries as
+``REFUTED_BUDGET`` bytes fit at its largest entry size, a limit set once per
+solve. The search takes a greedy upper bound and walks down from it until a
+size fails or the start bound is reached. The same search then turns the hit
+into the lexicographically least one, deciding the vertices in index order
+(see ``lambda_exact``).
 
 The search starts from the largest of three sound lower bounds, computed
 once per solve and reported as ``stats.pruned_cardinalities_skipped``:
@@ -76,12 +77,7 @@ from .graph import Graph, TwinPartition, VertexSet, _twin_classes
 from .graph import twin_partition  # noqa: F401
 
 ORACLE_MAX_ORDER = 24
-# bytes each of the refuted-subproblem table and the part memo of one
-# ``lambda_exact`` call may hold. A refuted entry is counted as 88 bytes for its
-# dict slot and int header plus one byte per 8 bits of its key, a memo entry as
-# 116 bytes (a second int header) plus one per 8 bits of its key and value. A
-# table is cleared when its own entries would pass this, so the two hold about
-# twice this at most
+# estimated bytes each search table of one ``lambda_exact`` call may hold
 REFUTED_BUDGET = 1 << 23
 
 
@@ -305,10 +301,14 @@ def lambda_exact(g: Graph, *, deterministic_witness: bool = False) -> SolveResul
     By induction over the order in which nodes fail, every failure, and so
     every skip, is a true one. The search therefore visits its successful
     branches in the same order and returns the same sets as without the
-    table. ``REFUTED_BUDGET`` bounds the estimated bytes of the table and of
-    the part memo, each on its own, so the two hold about twice it at most.
-    Each is cleared only when its own entries would pass the budget, so the
-    memo never moves a clearing of the table.
+    table. Each table may hold as many entries as ``REFUTED_BUDGET`` over its
+    largest entry's estimated bytes, and at least one, a limit set once per
+    solve. A refuted entry is 88 bytes of dict slot and int header plus one
+    per 8 bits of its key, below ``2**len(rows)``; a memo entry is 116 (a
+    second int header) plus one per 8 bits of its part, below ``2**n``, and
+    of its rows, below ``2**len(rows)``. A store into a full table clears it
+    first, so each table's estimated bytes stay within the budget once it
+    fits one entry, and the memo never moves a clearing of the table.
 
     The forced twin core is fixed before any root, and the rows it hits are
     never built, so the start bound reads its blocks off rows the core
@@ -361,11 +361,11 @@ def lambda_exact(g: Graph, *, deterministic_witness: bool = False) -> SolveResul
     refuted: dict[int, int] = {}
     # allowed part of a row -> the rows meeting it, the OR of its covers
     spans: dict[int, int] = {}
-    # estimated bytes of each table; REFUTED_BUDGET bounds each on its own
-    stored = spanned = 0
+    refuted_limit = max(1, REFUTED_BUDGET // (88 + len(rows) // 8))
+    span_limit = max(1, REFUTED_BUDGET // (116 + (n + len(rows)) // 8))
 
     def hit(unhit: int, allowed: int, left: int) -> int | None:
-        nonlocal nodes, stored, spanned
+        nonlocal nodes
         nodes += 1
         if not unhit:
             return 0
@@ -396,11 +396,8 @@ def lambda_exact(g: Graph, *, deterministic_witness: bool = False) -> SolveResul
                     bit = vertices & -vertices
                     vertices ^= bit
                     span |= covers[bit.bit_length() - 1]
-                cost = 116 + (part.bit_length() + span.bit_length()) // 8
-                spanned += cost
-                if spanned > REFUTED_BUDGET:
+                if len(spans) >= span_limit:
                     spans.clear()
-                    spanned = cost
                 spans[part] = span
             rest &= ~span
         if left == 2:
@@ -435,11 +432,8 @@ def lambda_exact(g: Graph, *, deterministic_witness: bool = False) -> SolveResul
                 return found | bit
             allowed &= ~bit
         # only nodes with more than two picks left branch here
-        cost = 88 + unhit.bit_length() // 8
-        stored += cost
-        if stored > REFUTED_BUDGET:
+        if len(refuted) >= refuted_limit:
             refuted.clear()
-            stored = cost
         refuted[unhit] = left
         return None
 

@@ -35,6 +35,7 @@ from time import perf_counter_ns
 from typing import IO, Iterator
 
 from .families import (
+    LABELED_MAX_ORDER,
     FamilySpec,
     all_graphs,
     all_maps,
@@ -198,8 +199,8 @@ class VerifyConfig:
     """Sweep ceilings; a ceiling below a section's first order turns it off.
 
     Ceilings that would build a functigraph above ``MAX_ORDER``, or ask for
-    isomorphism classes beyond order 6, raise ``ValueError`` here, before
-    any case is built.
+    isomorphism classes beyond ``LABELED_MAX_ORDER``, raise ``ValueError``
+    here, before any case is built.
     """
 
     n_max_complete: int = 7
@@ -220,10 +221,10 @@ class VerifyConfig:
                     f"{name} = {getattr(self, name)} builds functigraphs above "
                     f"order {MAX_ORDER}"
                 )
-        if self.n_max_bounds > 6:
+        if self.n_max_bounds > LABELED_MAX_ORDER:
             raise ValueError(
-                f"n_max_bounds = {self.n_max_bounds} exceeds 6, the largest base "
-                "order whose isomorphism classes are enumerated"
+                f"n_max_bounds = {self.n_max_bounds} exceeds {LABELED_MAX_ORDER}, the "
+                "largest base order whose isomorphism classes are enumerated"
             )
 
 

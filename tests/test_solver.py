@@ -408,6 +408,7 @@ class TestLambdaExact:
         assert lambda_exact(cycle_graph(40)).stats.sets_tested < 2_000
 
     def test_cleared_refuted_table_keeps_answers(self, monkeypatch):
+        # 1 byte holds one entry of each table, so every store clears it;
         # 300 bytes hold about three refuted entries, so that table is cleared
         # up to 20 times per solve; at 2,000 it is cleared twice on the P9
         # and C9 identity functigraphs, and a lookup skipping one pick too
@@ -422,6 +423,7 @@ class TestLambdaExact:
                    for g in (path_graph(9), cycle_graph(9))]
         references = [lambda_oracle(g) for g in graphs]
         nodes = {
+            1: [13, 15, 40, 84, 110, 171, 354, 313],
             300: [13, 15, 34, 78, 95, 153, 354, 313],
             2_000: [13, 15, 34, 48, 59, 63, 354, 313],
         }
@@ -431,6 +433,21 @@ class TestLambdaExact:
                 res = lambda_exact(g)
                 assert (res.lambda_, res.witness) == (reference.lambda_, reference.witness)
                 assert res.stats.sets_tested == count
+
+    def test_overwritten_refuted_keys_count_once(self, monkeypatch):
+        # the C11 identity functigraph has 66 rows, so 27,000 bytes hold 281
+        # refuted entries; one of its 288 stores overwrites a key. Cleared on
+        # its entry count, the table is cleared once, at store 283, late
+        # enough to keep the nodes of an unbounded table; a byte counter that
+        # counts the overwriting store twice clears it at store 282, at 280
+        # entries, and costs 12 nodes
+        g = build_functigraph(cycle_graph(11), identity_map(11)).graph
+        monkeypatch.setattr(solver, "REFUTED_BUDGET", 1 << 60)
+        unbounded = lambda_exact(g)
+        monkeypatch.setattr(solver, "REFUTED_BUDGET", 27_000)
+        res = lambda_exact(g)
+        assert (res.lambda_, res.witness) == (unbounded.lambda_, unbounded.witness)
+        assert res.stats.sets_tested == unbounded.stats.sets_tested == 1_430
 
     def test_node_counts_are_pinned(self):
         # search nodes of the benchmark's solve ladder and of three harder
