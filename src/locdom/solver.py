@@ -22,9 +22,9 @@ left fails at once. The rows each packed part meets are memoized per part.
 Both tables live for one call, and each holds at most as many entries as
 ``REFUTED_BUDGET`` bytes fit at its largest entry size, a limit set once per
 solve. The search takes a greedy upper bound and walks down from it until a
-size fails or the start bound is reached. The same search then turns the hit
-into the lexicographically least one, deciding the vertices in index order
-(see ``lambda_exact``).
+size fails or the start bound is reached. By default the same search then
+turns the hit into the lexicographically least one, deciding the vertices in
+index order; a value-only solve keeps the walk's hit (see ``lambda_exact``).
 
 The search starts from the largest of three sound lower bounds, computed
 once per solve and reported as ``stats.pruned_cardinalities_skipped``:
@@ -237,9 +237,10 @@ def _fold_layer(tables: tuple, rows: Iterable[int]) -> tuple[int, int]:
     return size, found
 
 
-def lambda_exact(g: Graph, *, deterministic_witness: bool = False) -> SolveResult:
-    """Exact location-domination number with the lexicographically least witness,
-    by branch and bound over the hitting-set model.
+def lambda_exact(g: Graph, *, deterministic_witness: bool = True) -> SolveResult:
+    """Exact location-domination number and a minimum witness, by branch and
+    bound over the hitting-set model; the witness is the lexicographically
+    least one unless ``deterministic_witness`` is False.
 
     Rows are sorted by size, then by value, and numbered in that order. A set
     of rows is an int with bit i for row i, and ``covers[v]`` is the set of
@@ -278,13 +279,22 @@ def lambda_exact(g: Graph, *, deterministic_witness: bool = False) -> SolveResul
     functigraph up to n = 8 whose map has other than two images, no root
     fails.
 
-    Equal-size sets are ordered by the smallest element of their symmetric
-    difference, so the witness is walked down with the same core. Vertices
-    are decided in index order, and a decided vertex leaves ``allowed``
-    for good. A vertex of the current witness is fixed. Any other vertex v
+    With ``deterministic_witness`` True, the default, the witness is then
+    made the lexicographically least. Equal-size sets are ordered by the
+    smallest element of their symmetric difference, so the witness is
+    walked down with the same core. Vertices are decided in index order,
+    and a decided vertex leaves ``allowed`` for good. A vertex of the
+    current witness is fixed. Any other vertex v
     gets one extraction root, ``hit(unhit & ~covers[v], allowed, left - 1)``:
     a hit holds v and is a lex-lesser witness, so it replaces the witness
     and v is fixed; a miss drops v. The walk ends once every pick is fixed.
+    With ``deterministic_witness`` False no extraction root runs: the
+    witness is the twin core plus the walk's last hit, the greedy set or
+    the last successful λ root. It is a minimum locating-dominating set and
+    the same on every run, but not always the lex-least. Extraction is
+    most of the work on many graphs: it is 837 of the 1,237 nodes of
+    perfbench's ``solve-ladder`` solves, and 670,081 of the 1,320,436 nodes
+    of the sparse ``random_graph(Random(0), 50, 0.1)``.
 
     A node with more than two picks left looks up its ``unhit``, before it
     packs, in a table of refuted subproblems shared by all roots. An
@@ -312,13 +322,11 @@ def lambda_exact(g: Graph, *, deterministic_witness: bool = False) -> SolveResul
 
     The forced twin core is fixed before any root, and the rows it hits are
     never built, so the start bound reads its blocks off rows the core
-    misses. ``stats.sets_tested`` counts ``hit`` nodes over all roots,
-    including those the refuted-subproblem table answers. It is 0 when the
-    greedy set already has the start size and holds the lowest vertices
-    outside the fixed core, as when the core hits every row.
-    ``deterministic_witness`` changes nothing, since every witness is
-    already the lexicographically least; it is kept because perfbench's
-    ``solve-ladder`` workload passes it.
+    misses. ``stats.sets_tested`` counts ``hit`` nodes over all roots that
+    ran, including those the refuted-subproblem table answers. It is 0 when
+    the greedy set already has the start size and, unless the solve is
+    value-only, holds the lowest vertices outside the fixed core, as when
+    the core hits every row.
     """
     started = time.perf_counter()
     n = g.n
@@ -455,7 +463,8 @@ def lambda_exact(g: Graph, *, deterministic_witness: bool = False) -> SolveResul
         found = smaller
     witness = fixed | found
     size = witness.bit_count()
-    left = found.bit_count()
+    # a value-only solve decides no vertex, so the walk's hit is the witness
+    left = found.bit_count() if deterministic_witness else 0
     for v in range(n):
         if not left:
             break
@@ -484,7 +493,7 @@ def lambda_exact(g: Graph, *, deterministic_witness: bool = False) -> SolveResul
 def lambda_oracle(g: Graph) -> SolveResult:
     """Ground-truth value by full subset enumeration, no pruning of any kind.
 
-    Guarded to 24 vertices; use ``lambda_exact`` beyond that.
+    Guarded to ``ORACLE_MAX_ORDER`` vertices; use ``lambda_exact`` beyond that.
     """
     if g.n > ORACLE_MAX_ORDER:
         raise ValueError(f"oracle guard: order {g.n} exceeds {ORACLE_MAX_ORDER}")

@@ -1,4 +1,5 @@
 import hashlib
+import inspect
 import random
 from itertools import combinations
 
@@ -306,14 +307,6 @@ class TestLambdaExact:
             # the oracle scans lexicographically, so its first hit is lex-least
             assert pruned.witness == reference.witness
 
-    def test_pruned_first_hit_already_lex_least(self):
-        rng = random.Random(41)
-        for _ in range(30):
-            g = random_connected_graph(rng, rng.randint(2, 8))
-            assert lambda_exact(g).witness == lambda_exact(
-                g, deterministic_witness=True
-            ).witness
-
     def test_positional_flag_is_rejected(self):
         # ``deterministic_witness`` is keyword-only, so a positional flag
         # raises instead of binding to it silently
@@ -535,6 +528,48 @@ class TestLambdaExact:
         assert res.stats.sets_tested == 0
         assert res.stats.pruned_cardinalities_skipped == 3
         assert res.stats.elapsed >= 0.0
+
+
+class TestValueOnly:
+    """``lambda_exact(g, deterministic_witness=False)``: the value and the
+    walk's last hit as its witness, with no extraction root."""
+
+    @staticmethod
+    def solve(g):
+        return lambda_exact(g, deterministic_witness=False)
+
+    def test_default_is_the_lex_least_witness(self):
+        parameter = inspect.signature(lambda_exact).parameters["deterministic_witness"]
+        assert parameter.default is True
+
+    def test_matches_oracle_value(self):
+        rng = random.Random(53)
+        graphs = [g for n in range(1, 6) for g in filter(is_connected, all_graphs(n))]
+        graphs += [random_graph(rng, rng.randint(6, 14), rng.random()) for _ in range(150)]
+        for g in graphs:
+            res = self.solve(g)
+            assert res.lambda_ == lambda_oracle(g).lambda_ == len(res.witness)
+            assert is_locating_dominating(g, res.witness)
+
+    def test_first_hit_is_a_minimum_witness(self):
+        # the same value as the default and never more nodes, on small random
+        # graphs and on graphs past the oracle's reach
+        rng = random.Random(41)
+        graphs = [random_connected_graph(rng, rng.randint(2, 8)) for _ in range(30)]
+        for g in graphs + pinned_graphs():
+            default, res = lambda_exact(g), self.solve(g)
+            assert res.lambda_ == default.lambda_ == len(res.witness)
+            assert is_locating_dominating(g, res.witness)
+            assert res.stats.sets_tested <= default.stats.sets_tested
+
+    def test_ladder_node_counts_are_pinned(self):
+        # the default takes 97, 146, 19, 958 and 17 nodes on the benchmark's
+        # solve ladder; without extraction the walk alone is left, and on
+        # four of the five the greedy set already has the start size
+        identity = [build_functigraph(complete_graph(n), identity_map(n)).graph for n in (11, 10)]
+        ladder = [cycle_graph(22), path_graph(22), identity[0],
+                  random_connected_graph(random.Random(0), 24, 0.15), identity[1]]
+        assert [self.solve(g).stats.sets_tested for g in ladder] == [0, 0, 0, 400, 0]
 
 
 class TestStartBound:
